@@ -235,6 +235,10 @@ void Engine::DrainQueue() {
   stats_.hash_cache_hits += Value::ListHashCacheHits() - hash_hits_before;
   stats_.vid_intern_hits = vid_interner_.hits();
   stats_.drain_allocs += AllocCountThisThread() - allocs_before;
+  list_pool_bound_ = std::max(list_pool_bound_, lists_acquired_this_drain_);
+  lists_acquired_this_drain_ = 0;
+  stats_.pooled_lists = list_pool_.size();
+  stats_.pooled_lists_bound = list_pool_bound_;
   draining_ = false;
 }
 

@@ -8,6 +8,7 @@
 #ifndef NETTRAILS_RUNTIME_ENGINE_H_
 #define NETTRAILS_RUNTIME_ENGINE_H_
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
@@ -98,6 +99,11 @@ struct EngineStats {
   /// this to (near) zero on converged churn; bench_churn reports it as
   /// allocs_per_flap and scripts/check_alloc_budget.sh pins it.
   uint64_t drain_allocs = 0;
+  /// Gauges, refreshed at the end of every top-level drain: field buffers
+  /// held in this engine's ValueList pool, and the pool's bound — the most
+  /// lists this engine has acquired within one drain.
+  uint64_t pooled_lists = 0;
+  uint64_t pooled_lists_bound = 0;
 };
 
 /// The "tuple" message channel used for shipped deltas.
@@ -323,15 +329,26 @@ class Engine {
   /// ValueList recycling pool for the delta pipeline. Field buffers flow
   /// emit -> queue -> batch -> harvest-back-to-pool, so a converged flap's
   /// tuple churn reuses the same allocations instead of paying one
-  /// malloc/free pair per derived tuple.
+  /// malloc/free pair per derived tuple. Shipped tuples carry their buffers
+  /// from the sender's pool into the receiver's and none ever flow back, so
+  /// the pool keeps at most as many lists as this engine has acquired
+  /// within one drain (the current one included) and frees the rest.
   ValueList AcquireList() {
+    ++lists_acquired_this_drain_;
     if (list_pool_.empty()) return ValueList();
     ValueList out = std::move(list_pool_.back());
     list_pool_.pop_back();
     out.clear();
     return out;
   }
-  void ReleaseList(ValueList&& v) { list_pool_.push_back(std::move(v)); }
+  void ReleaseList(ValueList&& v) {
+    if (list_pool_.size() <
+        std::max(list_pool_bound_, lists_acquired_this_drain_)) {
+      list_pool_.push_back(std::move(v));
+    } else {
+      ValueList().swap(v);  // free now: the caller's list may outlive this call
+    }
+  }
   /// Copy of `src` backed by a pooled buffer (the enqueue-a-copy idiom).
   ValueList CopyToPooled(const ValueList& src) {
     ValueList out = AcquireList();
@@ -511,6 +528,10 @@ class Engine {
   std::vector<Vid> winner_vids_scratch_;
   std::vector<Tuple> agg_prov_scratch_;
   std::vector<ValueList> list_pool_;
+  /// Lists acquired since the last top-level drain ended, and the most any
+  /// drain has acquired (the pool's bound).
+  size_t lists_acquired_this_drain_ = 0;
+  size_t list_pool_bound_ = 0;
 
   // Soft state: per-key insertion generation (a re-insertion refreshes the
   // expiry timer and invalidates stale timers), the absolute expiry
