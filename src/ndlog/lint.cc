@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <map>
 
+#include "src/ndlog/localize.h"
 #include "src/runtime/builtins.h"
+#include "src/runtime/plan.h"
 
 namespace nettrails {
 namespace ndlog {
@@ -59,12 +61,6 @@ bool IsComparison(BinOp op) {
     default:
       return false;
   }
-}
-
-/// Location variable of a normalized atom, or empty for an @n constant.
-std::string LocVar(const Atom& atom) {
-  return atom.args[0].expr->is_var() ? atom.args[0].expr->var_name()
-                                     : std::string();
 }
 
 /// Collects (variable name, span) pairs from an expression tree.
@@ -415,11 +411,7 @@ class Linter {
       if (rule.is_maybe) continue;  // analysis already forces locality
       std::vector<const Atom*> atoms = rule.BodyAtoms();
       if (atoms.empty()) continue;
-      std::set<std::string> locs;
-      for (const Atom* atom : atoms) {
-        std::string lv = LocVar(*atom);
-        if (!lv.empty()) locs.insert(lv);
-      }
+      std::set<std::string> locs = BodyLocations(rule);
       if (locs.size() > 2) {
         Report("ND301", rule.span, rule.name,
                "body spans " + std::to_string(locs.size()) +
@@ -428,30 +420,7 @@ class Linter {
         continue;
       }
       if (locs.size() == 2) {
-        // Mirror ndlog::Localize's connector search exactly: an atom at A
-        // whose second argument is the other location B, with every other
-        // atom at B.
-        bool connected = false;
-        for (size_t i = 0; i < atoms.size() && !connected; ++i) {
-          const Atom* cand = atoms[i];
-          std::string a = LocVar(*cand);
-          if (a.empty() || cand->args.size() < 2 ||
-              !cand->args[1].expr->is_var()) {
-            continue;
-          }
-          std::string b = cand->args[1].expr->var_name();
-          if (!locs.count(a) || !locs.count(b) || a == b) continue;
-          bool others_at_b = true;
-          for (size_t j = 0; j < atoms.size(); ++j) {
-            if (j == i) continue;
-            if (LocVar(*atoms[j]) != b) {
-              others_at_b = false;
-              break;
-            }
-          }
-          if (others_at_b) connected = true;
-        }
-        if (!connected) {
+        if (!FindConnector(rule, locs)) {
           Report("ND302", rule.span, rule.name,
                  "body spans two locations with no link-shaped atom "
                  "connecting them (need l(@A,B,...) with the rest of the "
@@ -598,86 +567,50 @@ class Linter {
   }
 
   // ----------------------------------------------- plan quality (ND5xx) --
-  /// Mirrors runtime plan.cc: trigger selection (an event atom pins the
-  /// delta; otherwise every atom is a delta in turn) and the per-probe
-  /// bound-position computation. Only single-site rules are simulated —
-  /// localization rewrites two-site bodies before real planning.
+  /// Plans the rules the engine runs: the localized program, with the
+  /// planner's own trigger selection and probe binding. Localize keeps
+  /// every body term at its position, so each finding is reported at the
+  /// user's atom. A program that does not localize has an ND301/ND302.
   void CheckPlanQuality() {
+    Result<Program> localized = Localize(ap_);
+    if (!localized.ok()) return;
+    Result<AnalyzedProgram> executed = Analyze(std::move(localized).value());
+    if (!executed.ok()) return;
+    const std::map<std::string, TableInfo>& tables = executed->tables;
+    const std::vector<Rule>& runs = executed->program.rules;
+    auto run = runs.begin();
     for (const Rule& rule : ap_.program.rules) {
-      if (rule.is_maybe) continue;
-      std::vector<size_t> atom_positions;
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (std::holds_alternative<Atom>(rule.body[i])) {
-          atom_positions.push_back(i);
-        }
-      }
-      if (atom_positions.empty()) continue;
-      std::set<std::string> locs;
-      for (const Atom* atom : rule.BodyAtoms()) {
-        std::string lv = LocVar(*atom);
-        if (!lv.empty()) locs.insert(lv);
-      }
-      if (locs.size() > 1) continue;
-
-      std::vector<size_t> deltas;
-      for (size_t pos : atom_positions) {
-        const Atom& atom = std::get<Atom>(rule.body[pos]);
-        const TableInfo* info = ap_.FindTable(atom.predicate);
-        if (info == nullptr || !info->materialized) {
-          deltas.assign(1, pos);
-          break;
-        }
-      }
-      if (deltas.empty()) deltas = atom_positions;
-
-      for (size_t delta : deltas) {
-        std::set<std::string> bound;
-        for (const AtomArg& arg : std::get<Atom>(rule.body[delta]).args) {
-          if (arg.expr && arg.expr->is_var()) bound.insert(arg.expr->var_name());
-        }
-        for (size_t i = 0; i < rule.body.size(); ++i) {
-          if (i == delta) continue;
-          const BodyTerm& term = rule.body[i];
-          if (const Assign* assign = std::get_if<Assign>(&term)) {
-            bound.insert(assign->var);
-            continue;
-          }
-          const Atom* atom = std::get_if<Atom>(&term);
+      // Skip the generated reversal rules Localize inserts (no span).
+      auto same = [&](const Rule& r) {
+        return r.name == rule.name && r.span.line == rule.span.line &&
+               r.span.column == rule.span.column &&
+               r.body.size() == rule.body.size();
+      };
+      run = std::find_if(run, runs.end(), same);
+      if (run == runs.end()) return;
+      const Rule& executed_rule = *run++;
+      if (rule.is_maybe) continue;  // without provenance they never run
+      for (size_t delta : runtime::TriggerPositions(executed_rule, tables)) {
+        std::vector<runtime::ProbeShape> shapes =
+            runtime::ProbeShapes(executed_rule, delta, tables);
+        const std::string& delta_pred =
+            std::get<Atom>(rule.body[delta]).predicate;
+        for (size_t i = 0; i < shapes.size(); ++i) {
+          const Atom* atom = std::get_if<Atom>(&rule.body[i]);
           if (atom == nullptr) continue;
-          const TableInfo* info = ap_.FindTable(atom->predicate);
-          if (info != nullptr && info->materialized) {
-            bool location_bound = false;
-            bool has_positions = false;
-            for (size_t a = 0; a < atom->args.size(); ++a) {
-              const Expr& e = *atom->args[a].expr;
-              if (e.is_const() || (e.is_var() && bound.count(e.var_name()))) {
-                if (a == 0) {
-                  location_bound = true;
-                } else {
-                  has_positions = true;
-                }
-              }
-            }
-            const Atom& delta_atom = std::get<Atom>(rule.body[delta]);
-            if (!has_positions && !location_bound) {
-              Report("ND501", atom->span.valid() ? atom->span : rule.span,
-                     rule.name,
-                     "probing " + atom->predicate + " on a " +
-                         delta_atom.predicate +
-                         " delta binds no argument (location included): "
-                         "every delta scans the whole table "
-                         "(index_scan_fallbacks)");
-            } else if (!has_positions) {
-              Report("ND502", atom->span.valid() ? atom->span : rule.span,
-                     rule.name,
-                     "joining " + atom->predicate + " on a " +
-                         delta_atom.predicate +
-                         " delta binds only the location: every stored "
-                         "row is a join candidate (broadcast join)");
-            }
-          }
-          for (const AtomArg& arg : atom->args) {
-            if (arg.expr && arg.expr->is_var()) bound.insert(arg.expr->var_name());
+          Span at = atom->span.valid() ? atom->span : rule.span;
+          if (shapes[i].binding == runtime::ProbeBinding::kNothing) {
+            Report("ND501", at, rule.name,
+                   "probing " + atom->predicate + " on a " + delta_pred +
+                       " delta binds no argument (location included): "
+                       "every delta scans the whole table "
+                       "(index_scan_fallbacks)");
+          } else if (shapes[i].binding ==
+                     runtime::ProbeBinding::kLocationOnly) {
+            Report("ND502", at, rule.name,
+                   "joining " + atom->predicate + " on a " + delta_pred +
+                       " delta binds only the location: every stored "
+                       "row is a join candidate (broadcast join)");
           }
         }
       }

@@ -33,8 +33,9 @@ std::vector<std::string> ParseLintPragmas(const std::string& source);
 
 /// Runs every lint pass over `analyzed`. The program must be the
 /// pre-localization user program (generated localization/provenance rules
-/// would trip dead-code and link lints by construction). Findings come
-/// back sorted by source position.
+/// would trip dead-code and link lints by construction); the plan-quality
+/// pass localizes it itself, as Compile does. Findings come back sorted by
+/// source position.
 DiagnosticEngine LintProgram(const AnalyzedProgram& analyzed,
                              const LintOptions& options = {});
 

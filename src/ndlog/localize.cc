@@ -47,6 +47,36 @@ Rule MakeReversalRule(const std::string& pred, size_t arity) {
 
 }  // namespace
 
+std::set<std::string> BodyLocations(const Rule& rule) {
+  std::set<std::string> locs;
+  for (const Atom* atom : rule.BodyAtoms()) {
+    std::string lv = LocVar(*atom);
+    if (!lv.empty()) locs.insert(lv);
+  }
+  return locs;
+}
+
+std::optional<size_t> FindConnector(const Rule& rule,
+                                    const std::set<std::string>& locs) {
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    const Atom* cand = std::get_if<Atom>(&rule.body[i]);
+    if (cand == nullptr) continue;
+    std::string a = LocVar(*cand);
+    if (a.empty() || cand->args.size() < 2 || !cand->args[1].expr->is_var()) {
+      continue;
+    }
+    std::string b = cand->args[1].expr->var_name();
+    if (!locs.count(a) || !locs.count(b) || a == b) continue;
+    bool others_at_b = true;
+    for (size_t j = 0; j < rule.body.size() && others_at_b; ++j) {
+      const Atom* other = std::get_if<Atom>(&rule.body[j]);
+      others_at_b = j == i || other == nullptr || LocVar(*other) == b;
+    }
+    if (others_at_b) return i;
+  }
+  return std::nullopt;
+}
+
 Result<Program> Localize(const AnalyzedProgram& analyzed) {
   const Program& in = analyzed.program;
   Program out;
@@ -56,11 +86,7 @@ Result<Program> Localize(const AnalyzedProgram& analyzed) {
   std::set<std::string> reversed;
 
   for (const Rule& rule : in.rules) {
-    std::set<std::string> locs;
-    for (const Atom* atom : rule.BodyAtoms()) {
-      std::string lv = LocVar(*atom);
-      if (!lv.empty()) locs.insert(lv);
-    }
+    std::set<std::string> locs = BodyLocations(rule);
     if (locs.size() <= 1) {
       out.rules.push_back(rule);
       continue;
@@ -74,76 +100,50 @@ Result<Program> Localize(const AnalyzedProgram& analyzed) {
       return Status::PlanError("rule " + rule.name +
                                ": maybe rules must be local");
     }
-
-    // Two locations: find the link-shaped atom whose reversal localizes the
-    // rule. Candidate atom l at location A with args[1] == B such that every
-    // other atom is at B.
-    Rule rewritten = rule;
-    bool done = false;
-    std::vector<Atom*> atoms;
-    for (BodyTerm& term : rewritten.body) {
-      if (Atom* a = std::get_if<Atom>(&term)) atoms.push_back(a);
-    }
-    for (size_t i = 0; i < atoms.size() && !done; ++i) {
-      Atom* cand = atoms[i];
-      std::string a = LocVar(*cand);
-      if (a.empty() || cand->args.size() < 2 || !cand->args[1].expr->is_var()) {
-        continue;
-      }
-      std::string b = cand->args[1].expr->var_name();
-      if (!locs.count(a) || !locs.count(b) || a == b) continue;
-      bool others_at_b = true;
-      for (size_t j = 0; j < atoms.size(); ++j) {
-        if (j == i) continue;
-        if (LocVar(*atoms[j]) != b) {
-          others_at_b = false;
-          break;
-        }
-      }
-      if (!others_at_b) continue;
-
-      // Rewrite cand: p(@A, B, rest...) -> p_d(@B, A, rest...).
-      const std::string pred = cand->predicate;
-      const TableInfo* info = analyzed.FindTable(pred);
-      Atom repl;
-      repl.predicate = pred + kReversedSuffix;
-      AtomArg r0;
-      r0.is_location = true;
-      r0.expr = cand->args[1].expr;
-      repl.args.push_back(r0);
-      AtomArg r1;
-      r1.expr = cand->args[0].expr;
-      repl.args.push_back(r1);
-      for (size_t j = 2; j < cand->args.size(); ++j) {
-        repl.args.push_back(cand->args[j]);
-      }
-      size_t arity = cand->args.size();
-      *cand = std::move(repl);
-      done = true;
-
-      if (!reversed.count(pred)) {
-        reversed.insert(pred);
-        out.rules.push_back(MakeReversalRule(pred, arity));
-        if (info != nullptr && info->materialized) {
-          MaterializeDecl decl;
-          decl.table = pred + kReversedSuffix;
-          // Copy lifetime/size from the original declaration if present.
-          if (const MaterializeDecl* orig = in.FindMaterialization(pred)) {
-            decl.lifetime_secs = orig->lifetime_secs;
-            decl.max_size = orig->max_size;
-          }
-          for (int k : info->keys) {
-            decl.keys.push_back(k == 0 ? 1 : (k == 1 ? 0 : k));
-          }
-          out.materializations.push_back(std::move(decl));
-        }
-      }
-    }
-    if (!done) {
+    std::optional<size_t> connector = FindConnector(rule, locs);
+    if (!connector) {
       return Status::PlanError(
           "rule " + rule.name +
           ": body spans two locations but no link-shaped atom connects "
           "them; not localizable");
+    }
+
+    // Rewrite the connector in place: p(@A, B, rest...) -> p_d(@B, A, rest...).
+    Rule rewritten = rule;
+    Atom& cand = std::get<Atom>(rewritten.body[*connector]);
+    const std::string pred = cand.predicate;
+    const TableInfo* info = analyzed.FindTable(pred);
+    Atom repl;
+    repl.predicate = pred + kReversedSuffix;
+    AtomArg r0;
+    r0.is_location = true;
+    r0.expr = cand.args[1].expr;
+    repl.args.push_back(r0);
+    AtomArg r1;
+    r1.expr = cand.args[0].expr;
+    repl.args.push_back(r1);
+    for (size_t j = 2; j < cand.args.size(); ++j) {
+      repl.args.push_back(cand.args[j]);
+    }
+    size_t arity = cand.args.size();
+    cand = std::move(repl);
+
+    if (!reversed.count(pred)) {
+      reversed.insert(pred);
+      out.rules.push_back(MakeReversalRule(pred, arity));
+      if (info != nullptr && info->materialized) {
+        MaterializeDecl decl;
+        decl.table = pred + kReversedSuffix;
+        // Copy lifetime/size from the original declaration if present.
+        if (const MaterializeDecl* orig = in.FindMaterialization(pred)) {
+          decl.lifetime_secs = orig->lifetime_secs;
+          decl.max_size = orig->max_size;
+        }
+        for (int k : info->keys) {
+          decl.keys.push_back(k == 0 ? 1 : (k == 1 ? 0 : k));
+        }
+        out.materializations.push_back(std::move(decl));
+      }
     }
     out.rules.push_back(std::move(rewritten));
   }

@@ -6,22 +6,15 @@
 namespace nettrails {
 namespace net {
 
-#ifdef NETTRAILS_THREADS
 thread_local Simulator::WorkerCtx* Simulator::tls_ctx_ = nullptr;
-#endif
 
 Simulator::~Simulator() { StopWorkers(); }
 
 void Simulator::set_num_threads(unsigned n) {
-#ifdef NETTRAILS_THREADS
   if (n < 1) n = 1;
   if (n > kMaxWorkers) n = kMaxWorkers;
   if (n != num_threads_) StopWorkers();
   num_threads_ = n;
-#else
-  (void)n;
-  num_threads_ = 1;  // threading compiled out: serial loop only
-#endif
 }
 
 NodeId Simulator::AddNode() {
@@ -117,9 +110,7 @@ void Simulator::MarkOverlayChannel(const std::string& channel, Time latency) {
 }
 
 Simulator::FrameRef Simulator::AcquireFrame() {
-#ifdef NETTRAILS_THREADS
   if (WorkerCtx* ctx = tls_ctx_) return WorkerAcquireFrame(ctx);
-#endif
   FrameRef f;
   if (!free_frames_.empty()) {
     f = free_frames_.back();
@@ -139,12 +130,10 @@ Simulator::FrameRef Simulator::AcquireFrame() {
 }
 
 void Simulator::ReleaseFrame(FrameRef f) {
-#ifdef NETTRAILS_THREADS
   if (f & kWorkerFrameBit) {
     WorkerReleaseFrame(f);
     return;
   }
-#endif
   Message& m = frames_[f];
   m.payload = Tuple();
   m.batch.clear();  // keeps vector capacity; entry buffers are freed
@@ -152,9 +141,7 @@ void Simulator::ReleaseFrame(FrameRef f) {
 }
 
 bool Simulator::SendFrame(FrameRef f) {
-#ifdef NETTRAILS_THREADS
   if (WorkerCtx* ctx = tls_ctx_) return WorkerSendFrame(ctx, f);
-#endif
   Message& msg = frames_[f];
   ChannelFaultStats& fs = FaultStatsFor(msg.channel);
   ++fs.sent;
@@ -382,7 +369,6 @@ void Simulator::Push(Time t, Event ev) {
 }
 
 void Simulator::ScheduleAt(Time t, std::function<void()> fn) {
-#ifdef NETTRAILS_THREADS
   if (WorkerCtx* ctx = tls_ctx_) {
     WorkerOp op;
     op.kind = WorkerOp::Kind::kClosure;
@@ -392,7 +378,6 @@ void Simulator::ScheduleAt(Time t, std::function<void()> fn) {
     ctx->ops.push_back(std::move(op));
     return;
   }
-#endif
   uint32_t slot;
   if (!free_closures_.empty()) {
     slot = free_closures_.back();
@@ -413,7 +398,6 @@ void Simulator::ScheduleAfter(Time delay, std::function<void()> fn) {
 }
 
 void Simulator::ScheduleLinkChange(Time t, NodeId a, NodeId b, bool up) {
-#ifdef NETTRAILS_THREADS
   if (WorkerCtx* ctx = tls_ctx_) {
     WorkerOp op;
     op.kind = WorkerOp::Kind::kLinkChange;
@@ -425,7 +409,6 @@ void Simulator::ScheduleLinkChange(Time t, NodeId a, NodeId b, bool up) {
     ctx->ops.push_back(std::move(op));
     return;
   }
-#endif
   Event ev;
   ev.kind = Event::Kind::kLinkChange;
   ev.link.a = a;
@@ -436,7 +419,6 @@ void Simulator::ScheduleLinkChange(Time t, NodeId a, NodeId b, bool up) {
 
 void Simulator::ScheduleNodeChange(Time t, NodeId node, bool up,
                                    bool with_links) {
-#ifdef NETTRAILS_THREADS
   if (WorkerCtx* ctx = tls_ctx_) {
     WorkerOp op;
     op.kind = WorkerOp::Kind::kNodeChange;
@@ -448,7 +430,6 @@ void Simulator::ScheduleNodeChange(Time t, NodeId node, bool up,
     ctx->ops.push_back(std::move(op));
     return;
   }
-#endif
   Event ev;
   ev.kind = Event::Kind::kNodeChange;
   ev.node.id = node;
@@ -491,7 +472,6 @@ void Simulator::RunLoop(Time until, bool bounded) {
   stopped_.store(false, std::memory_order_relaxed);
   while (!queue_.empty() && !stopped_.load(std::memory_order_relaxed)) {
     if (bounded && queue_.top().time > until) break;
-#ifdef NETTRAILS_THREADS
     if (num_threads_ > 1 && queue_.top().kind == Event::Kind::kDeliver) {
       // Collect the wave: the contiguous run of deliveries at this time,
       // in seq order. A closure or link-change event bounds the run — it
@@ -515,7 +495,6 @@ void Simulator::RunLoop(Time until, bool bounded) {
       }
       continue;
     }
-#endif
     Event ev = queue_.top();
     queue_.pop();
     now_ = ev.time;
@@ -523,8 +502,6 @@ void Simulator::RunLoop(Time until, bool bounded) {
     Execute(ev);
   }
 }
-
-#ifdef NETTRAILS_THREADS
 
 Simulator::FrameRef Simulator::WorkerAcquireFrame(WorkerCtx* ctx) {
   uint32_t idx;
@@ -733,12 +710,6 @@ void Simulator::ApplyOp(WorkerOp op) {
       return;
   }
 }
-
-#else  // !NETTRAILS_THREADS
-
-void Simulator::StopWorkers() {}
-
-#endif  // NETTRAILS_THREADS
 
 const TrafficStats& Simulator::channel_traffic(ChannelId ch) const {
   static const TrafficStats kZero;

@@ -35,11 +35,9 @@
 #include <unordered_map>
 #include <vector>
 
-#ifdef NETTRAILS_THREADS
 #include <condition_variable>
 #include <mutex>
 #include <thread>
-#endif
 
 #include "src/common/flat_hash.h"
 #include "src/common/status.h"
@@ -152,8 +150,7 @@ struct SimulatorOptions {
   /// Worker threads for the epoch-barrier parallel loop. 1 (the default)
   /// runs the exact legacy serial loop; N > 1 shards every same-time
   /// delivery wave across N workers while staying bit-identical to serial
-  /// execution (fixpoints, provenance, traffic, event ordering). Clamped
-  /// to 1 in builds configured with -DNETTRAILS_THREADS=OFF.
+  /// execution (fixpoints, provenance, traffic, event ordering).
   unsigned num_threads = 1;
   /// Seeded fault schedule (drop/duplicate/delay/reorder + node events).
   /// Installed at construction when non-empty; see InstallFaultPlan.
@@ -279,9 +276,7 @@ class Simulator {
   FrameRef AcquireFrame();
   /// The frame's message, for filling in (valid until SendFrame/Release).
   Message& FrameMessage(FrameRef f) {
-#ifdef NETTRAILS_THREADS
     if (f & kWorkerFrameBit) return WorkerFrameMessage(f);
-#endif
     return frames_[f];
   }
   /// Sends a pooled frame: local delivery (src == dst) is immediate at
@@ -487,7 +482,6 @@ class Simulator {
   unsigned num_threads_ = 1;
   std::vector<Event> wave_;  // scratch: the delivery run being executed
   std::vector<std::unique_ptr<WorkerCtx>> workers_;
-#ifdef NETTRAILS_THREADS
   /// Worker context of the calling thread, nullptr on the coordinator.
   /// Routes the simulator's mutating entry points while a wave runs.
   static thread_local WorkerCtx* tls_ctx_;
@@ -498,7 +492,6 @@ class Simulator {
   uint64_t epoch_gen_ = 0;           // bumped once per dispatched wave
   unsigned busy_ = 0;                // workers still inside the wave
   bool shutdown_ = false;
-#endif
 
   Time now_ = 0;
   uint64_t seq_ = 0;

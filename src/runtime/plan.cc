@@ -96,20 +96,55 @@ void CollectAtomVars(const Atom& atom, std::set<std::string>* out) {
 
 /// Computes the probe plan for rule `cr` evaluated with `delta_term` as the
 /// delta atom, registering every needed (table, bound-position-set)
-/// secondary index in `table_indexes`. Mirrors Engine::JoinRec exactly:
-/// bindings start from the delta atom, then body terms are processed in
-/// order (skipping the delta), assignments binding their target and each
-/// probed atom binding its variables.
+/// secondary index in `table_indexes` in body order.
 void PlanJoinIndexes(
     CompiledRule* cr, size_t delta_term,
     const std::map<std::string, ndlog::TableInfo>& tables,
     std::map<std::string, std::vector<std::vector<int>>>* table_indexes) {
   const Rule& rule = cr->rule;
+  const std::string& delta_pred =
+      std::get<Atom>(rule.body[delta_term]).predicate;
+  std::vector<ProbeShape> shapes = ProbeShapes(rule, delta_term, tables);
   std::vector<AtomProbePlan> plans(rule.body.size());
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    const Atom* atom = std::get_if<Atom>(&rule.body[i]);
+    if (i == delta_term || atom == nullptr) continue;
+    plans[i].same_pred_as_delta = atom->predicate == delta_pred;
+    if (shapes[i].binding == ProbeBinding::kPositions) {
+      std::vector<std::vector<int>>& specs = (*table_indexes)[atom->predicate];
+      auto sit = std::find(specs.begin(), specs.end(),
+                           shapes[i].bound_positions);
+      plans[i].index_id = static_cast<int>(sit - specs.begin());
+      if (sit == specs.end()) specs.push_back(shapes[i].bound_positions);
+      plans[i].bound_positions = std::move(shapes[i].bound_positions);
+    } else if (shapes[i].binding == ProbeBinding::kLocationOnly) {
+      plans[i].broadcast = true;
+    }
+  }
+  cr->join_plans.emplace(delta_term, std::move(plans));
+}
 
+}  // namespace
+
+std::vector<size_t> TriggerPositions(
+    const Rule& rule, const std::map<std::string, ndlog::TableInfo>& tables) {
+  std::vector<size_t> deltas;
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    const Atom* atom = std::get_if<Atom>(&rule.body[i]);
+    if (atom == nullptr) continue;
+    auto tit = tables.find(atom->predicate);
+    if (tit == tables.end() || !tit->second.materialized) return {i};
+    deltas.push_back(i);
+  }
+  return deltas;
+}
+
+std::vector<ProbeShape> ProbeShapes(
+    const Rule& rule, size_t delta_term,
+    const std::map<std::string, ndlog::TableInfo>& tables) {
+  std::vector<ProbeShape> shapes(rule.body.size());
   std::set<std::string> bound;
   CollectAtomVars(std::get<Atom>(rule.body[delta_term]), &bound);
-
   for (size_t i = 0; i < rule.body.size(); ++i) {
     if (i == delta_term) continue;
     const BodyTerm& term = rule.body[i];
@@ -119,12 +154,10 @@ void PlanJoinIndexes(
     }
     const Atom* atom = std::get_if<Atom>(&term);
     if (atom == nullptr) continue;  // selection: binds nothing
-    plans[i].same_pred_as_delta =
-        atom->predicate == std::get<Atom>(rule.body[delta_term]).predicate;
     auto tit = tables.find(atom->predicate);
     if (tit != tables.end() && tit->second.materialized) {
       bool location_bound = false;
-      std::vector<int> positions;
+      std::vector<int>& positions = shapes[i].bound_positions;
       for (size_t a = 0; a < atom->args.size(); ++a) {
         const Expr& e = *atom->args[a].expr;
         if (e.is_const() || (e.is_var() && bound.count(e.var_name()))) {
@@ -137,24 +170,14 @@ void PlanJoinIndexes(
           }
         }
       }
-      if (!positions.empty()) {
-        std::vector<std::vector<int>>& specs =
-            (*table_indexes)[atom->predicate];
-        auto sit = std::find(specs.begin(), specs.end(), positions);
-        int id = static_cast<int>(sit - specs.begin());
-        if (sit == specs.end()) specs.push_back(positions);
-        plans[i].bound_positions = std::move(positions);
-        plans[i].index_id = id;
-      } else if (location_bound) {
-        plans[i].broadcast = true;
-      }
+      shapes[i].binding = !positions.empty() ? ProbeBinding::kPositions
+                          : location_bound   ? ProbeBinding::kLocationOnly
+                                             : ProbeBinding::kNothing;
     }
     CollectAtomVars(*atom, &bound);
   }
-  cr->join_plans.emplace(delta_term, std::move(plans));
+  return shapes;
 }
-
-}  // namespace
 
 Result<CompiledProgramPtr> Compile(const std::string& source,
                                    const CompileOptions& options) {
@@ -289,27 +312,12 @@ Result<CompiledProgramPtr> Compile(const std::string& source,
     prog->rules.push_back(std::move(cr));
   }
 
-  // Trigger index. Rules containing an event atom fire only on that event
-  // (events are instantaneous and cannot be scanned as stored relations).
+  // Trigger index: which body atoms act as deltas for each rule.
   for (size_t r = 0; r < prog->rules.size(); ++r) {
-    const CompiledRule& cr = prog->rules[r];
-    size_t event_pos = SIZE_MAX;
-    for (size_t pos : cr.atom_positions) {
-      const Atom& atom = std::get<Atom>(cr.rule.body[pos]);
-      const ndlog::TableInfo* info = prog->FindTable(atom.predicate);
-      if (info == nullptr || !info->materialized) {
-        event_pos = pos;
-        break;
-      }
-    }
-    if (event_pos != SIZE_MAX) {
-      const Atom& atom = std::get<Atom>(cr.rule.body[event_pos]);
-      prog->triggers[atom.predicate].emplace_back(r, event_pos);
-      continue;
-    }
-    for (size_t pos : cr.atom_positions) {
-      const Atom& atom = std::get<Atom>(cr.rule.body[pos]);
-      prog->triggers[atom.predicate].emplace_back(r, pos);
+    const Rule& rule = prog->rules[r].rule;
+    for (size_t pos : TriggerPositions(rule, prog->tables)) {
+      prog->triggers[std::get<Atom>(rule.body[pos]).predicate].emplace_back(
+          r, pos);
     }
   }
 

@@ -66,6 +66,38 @@ struct AtomProbePlan {
   bool same_pred_as_delta = false;
 };
 
+/// How much of one body term a join has bound when it reaches the term.
+enum class ProbeBinding : uint8_t {
+  kNotProbed,     // the delta, an event atom, an assignment or a selection
+  kNothing,       // a stored atom with nothing bound, location included
+  kLocationOnly,  // a stored atom with only the location bound (broadcast)
+  kPositions,     // a stored atom with non-location positions bound
+};
+
+/// The binding shape of one body term under one choice of delta atom.
+struct ProbeShape {
+  ProbeBinding binding = ProbeBinding::kNotProbed;
+  /// Sorted bound non-location positions (non-empty iff kPositions).
+  std::vector<int> bound_positions;
+};
+
+/// Body-term indices of the atoms that act as deltas for `rule`: an event
+/// (non-materialized) atom pins the delta, since events are instantaneous
+/// and cannot be scanned as stored relations; otherwise every atom takes a
+/// turn, in body order.
+std::vector<size_t> TriggerPositions(
+    const ndlog::Rule& rule,
+    const std::map<std::string, ndlog::TableInfo>& tables);
+
+/// The binding shape of every term of `rule` (index-parallel to rule.body)
+/// evaluated with body term `delta_term` as the delta atom. Follows
+/// Engine::JoinRec: bindings start from the delta atom, then body terms are
+/// processed in order (skipping the delta), assignments binding their
+/// target and each probed atom binding its variables.
+std::vector<ProbeShape> ProbeShapes(
+    const ndlog::Rule& rule, size_t delta_term,
+    const std::map<std::string, ndlog::TableInfo>& tables);
+
 /// Lowered atom argument: a frame slot (variable) or a constant. Body atom
 /// arguments are Var/Const only after analysis, so this is total.
 struct SlotArg {

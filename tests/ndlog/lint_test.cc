@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "src/ndlog/analysis.h"
 #include "src/ndlog/parser.h"
 #include "src/protocols/programs.h"
 #include "src/runtime/plan.h"
+#include "tests/ndlog/shipped_programs.h"
 
 namespace nettrails {
 namespace ndlog {
@@ -276,6 +279,74 @@ r1 out(@X,Y) :- a(@X,Y), b(@X,Y).
 )");
   EXPECT_EQ(Find(diags, "ND501"), nullptr) << diags.RenderAll();
   EXPECT_EQ(Find(diags, "ND502"), nullptr) << diags.RenderAll();
+}
+
+TEST(LintTest, TwoSiteRuleBroadcastReportedAtUserAtom) {
+  // After localization link(@X,Y,C) runs as link_d(@Y,X,C) joined with
+  // path(@Y,...) on Y alone; the finding names the user's atom.
+  DiagnosticEngine diags = Lint(
+      R"(materialize(link, infinity, infinity, keys(1,2)).
+materialize(path, infinity, infinity, keys(1,2)).
+r1 path(@X,Z) :- link(@X,Y,C),
+                 path(@Y,Z).
+)");
+  std::set<std::pair<int, std::string>> broadcasts;
+  for (const Diagnostic& d : diags.diagnostics()) {
+    if (d.code != "ND502") continue;
+    broadcasts.emplace(d.span.line,
+                       d.message.substr(0, d.message.find(" delta")));
+  }
+  EXPECT_EQ(broadcasts,
+            (std::set<std::pair<int, std::string>>{
+                {3, "joining link on a path"}, {4, "joining path on a link"}}))
+      << diags.RenderAll();
+}
+
+TEST(LintTest, PlanFindingsMatchCompiledPlans) {
+  // ND501/ND502 are exactly the scan fallbacks and broadcast joins of the
+  // plans Compile builds (provenance off), each at the user's atom: body
+  // term i of an executed rule is body term i of the user's rule.
+  using Finding = std::tuple<std::string, int, int, std::string>;
+  size_t planned = 0;
+  for (const auto& [label, src] : ShippedSources()) {
+    SCOPED_TRACE(label);
+    Result<Program> user = Parse(src);
+    ASSERT_TRUE(user.ok()) << user.status().ToString();
+    Result<runtime::CompiledProgramPtr> compiled =
+        runtime::Compile(src, runtime::NoProvenanceOptions());
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    std::set<Finding> want;
+    for (const runtime::CompiledRule& cr : (*compiled)->rules) {
+      auto user_rule =
+          std::find_if(user->rules.begin(), user->rules.end(),
+                       [&](const Rule& r) { return r.name == cr.rule.name; });
+      if (user_rule == user->rules.end()) continue;  // generated by Localize
+      for (const auto& [delta, plans] : cr.join_plans) {
+        for (size_t i = 0; i < plans.size(); ++i) {
+          const Atom* atom = std::get_if<Atom>(&cr.rule.body[i]);
+          if (i == delta || atom == nullptr) continue;
+          const TableInfo* info = (*compiled)->FindTable(atom->predicate);
+          if (info == nullptr || !info->materialized) continue;
+          const Span span = std::get<Atom>(user_rule->body[i]).span;
+          if (plans[i].broadcast) {
+            want.emplace(cr.rule.name, span.line, span.column, "ND502");
+          } else if (plans[i].index_id < 0) {
+            want.emplace(cr.rule.name, span.line, span.column, "ND501");
+          }
+        }
+      }
+    }
+    DiagnosticEngine diags = Lint(src);
+    std::set<Finding> got;
+    for (const Diagnostic& d : diags.diagnostics()) {
+      if (d.code == "ND501" || d.code == "ND502") {
+        got.emplace(d.rule, d.span.line, d.span.column, d.code);
+      }
+    }
+    EXPECT_EQ(got, want);
+    planned += want.size();
+  }
+  EXPECT_GT(planned, 0u);
 }
 
 // ---------------------------------------------------------------------------

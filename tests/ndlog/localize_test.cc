@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/ndlog/parser.h"
+#include "tests/ndlog/shipped_programs.h"
 
 namespace nettrails {
 namespace ndlog {
@@ -136,6 +137,60 @@ TEST(LocalizeTest, LocalizedProgramReanalyzes) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   Result<AnalyzedProgram> again = Analyze(std::move(out).value());
   EXPECT_TRUE(again.ok()) << again.status().ToString();
+}
+
+TEST(LocalizeTest, RulesKeepNameAndBodyPositions) {
+  // The invariant ndlint's plan-quality pass relies on: each user rule
+  // appears in order under its own name and span, and body term i of the
+  // localized rule is body term i of the user's rule, except that the
+  // connector l(@A,B,...) becomes l_d(@B,A,...) in place.
+  int rewritten = 0;
+  for (const auto& [label, src] : ShippedSources()) {
+    SCOPED_TRACE(label);
+    Result<Program> parsed = Parse(src);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    Result<AnalyzedProgram> analyzed = Analyze(std::move(parsed).value());
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    Result<Program> out = Localize(*analyzed);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+
+    auto next = out->rules.begin();
+    for (const Rule& user : analyzed->program.rules) {
+      while (next != out->rules.end() && next->name != user.name) {
+        EXPECT_FALSE(next->span.valid()) << "unexpected " << next->ToString();
+        ++next;
+      }
+      ASSERT_NE(next, out->rules.end()) << "lost rule " << user.name;
+      const Rule& local = *next++;
+      EXPECT_EQ(local.span.line, user.span.line) << user.name;
+      EXPECT_EQ(local.span.column, user.span.column) << user.name;
+      ASSERT_EQ(local.body.size(), user.body.size()) << user.name;
+      int replaced = 0;
+      for (size_t i = 0; i < user.body.size(); ++i) {
+        if (BodyTermToString(local.body[i]) ==
+            BodyTermToString(user.body[i])) {
+          continue;
+        }
+        ++replaced;
+        const Atom* was = std::get_if<Atom>(&user.body[i]);
+        const Atom* now = std::get_if<Atom>(&local.body[i]);
+        ASSERT_NE(was, nullptr) << user.name << " term " << i;
+        ASSERT_NE(now, nullptr) << user.name << " term " << i;
+        EXPECT_EQ(now->predicate, was->predicate + kReversedSuffix);
+        ASSERT_EQ(now->args.size(), was->args.size());
+        EXPECT_EQ(now->args[0].expr->ToString(), was->args[1].expr->ToString());
+        EXPECT_EQ(now->args[1].expr->ToString(), was->args[0].expr->ToString());
+        for (size_t a = 2; a < was->args.size(); ++a) {
+          EXPECT_EQ(now->args[a].expr->ToString(),
+                    was->args[a].expr->ToString());
+        }
+      }
+      EXPECT_LE(replaced, 1) << user.name;
+      rewritten += replaced;
+    }
+  }
+  // The corpus's two-site rules: mc2, pv2, r2 and sp2.
+  EXPECT_EQ(rewritten, 4);
 }
 
 }  // namespace

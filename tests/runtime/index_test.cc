@@ -7,6 +7,8 @@
 #include <set>
 
 #include "src/common/rand.h"
+#include "src/ndlog/lint.h"
+#include "src/ndlog/parser.h"
 #include "src/net/topology.h"
 #include "src/protocols/programs.h"
 #include "src/runtime/engine.h"
@@ -244,6 +246,20 @@ void ExpectSameState(const Net& a, const Net& b) {
   }
 }
 
+/// Whether ndlint reports `code` anywhere in `program`.
+bool HasLintFinding(const char* program, const std::string& code) {
+  Result<ndlog::Program> parsed = ndlog::Parse(program);
+  if (!parsed.ok()) return false;
+  Result<ndlog::AnalyzedProgram> analyzed =
+      ndlog::Analyze(std::move(parsed).value());
+  if (!analyzed.ok()) return false;
+  ndlog::DiagnosticEngine diags = ndlog::LintProgram(*analyzed);
+  for (const ndlog::Diagnostic& d : diags.diagnostics()) {
+    if (d.code == code) return true;
+  }
+  return false;
+}
+
 void CheckProtocol(const char* program, bool provenance, size_t n,
                    bool expect_fewer_candidates) {
   std::unique_ptr<Net> indexed = RunProtocol(program, provenance, true, n, 3);
@@ -264,6 +280,9 @@ void CheckProtocol(const char* program, bool provenance, size_t n,
   }
   EXPECT_GT(probes + broadcasts, 0u);
   EXPECT_EQ(fallbacks, 0u) << "scan path must be cold on shipped programs";
+  // Lint reads the planner's decisions: it notes a broadcast join (ND502)
+  // exactly when the engines run one.
+  EXPECT_EQ(broadcasts > 0, HasLintFinding(program, "ND502"));
   // Indexes never examine more candidate rows than a scan. Mincost's joins
   // bind only the location attribute (per-node fan-out: every row is a
   // genuine candidate — planned broadcasts), so candidates are equal

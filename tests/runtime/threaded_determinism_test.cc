@@ -213,11 +213,7 @@ TEST(ThreadedDeterminism2, ThreadCountIsReconfigurable) {
   net::Simulator sim;
   EXPECT_EQ(sim.num_threads(), 1u);
   sim.set_num_threads(4);
-#ifdef NETTRAILS_THREADS
   EXPECT_EQ(sim.num_threads(), 4u);
-#else
-  EXPECT_EQ(sim.num_threads(), 1u);  // clamped in non-threaded builds
-#endif
   sim.set_num_threads(0);  // clamps to 1
   EXPECT_EQ(sim.num_threads(), 1u);
 }
