@@ -25,7 +25,6 @@
 #define NETTRAILS_NET_SCENARIO_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,13 +72,6 @@ Result<Scenario> LoadScenarioFile(const std::string& path);
 /// Round-trips through ParseScenario bit-for-bit.
 std::string SerializeScenario(const Scenario& s);
 
-struct ScenarioRunOptions {
-  /// Invoked after a crashed node's checkpoint is restored, before
-  /// reconciliation deltas flow (re-attach provenance stores, fence query
-  /// caches) — forwarded to protocols::RestartNode.
-  std::function<void(NodeId)> on_restored;
-};
-
 struct ScenarioRunStats {
   size_t applied = 0;
   size_t skipped = 0;
@@ -88,11 +80,12 @@ struct ScenarioRunStats {
 /// Replays `scenario` against a running world. The engines must have been
 /// built over `topo` (one per node, links installed). Advances virtual
 /// time to each event, applies it via the protocols:: churn/crash helpers,
-/// and finally runs the simulator to quiescence.
+/// and finally runs the simulator to quiescence. Provenance stores and
+/// query caches attached to the engines need nothing on restart: they read
+/// the restored tables and version (see provenance/store.h).
 Result<ScenarioRunStats> RunScenario(
     const Scenario& scenario, const Topology& topo,
-    std::vector<std::unique_ptr<runtime::Engine>>* engines, Simulator* sim,
-    const ScenarioRunOptions& opts = {});
+    std::vector<std::unique_ptr<runtime::Engine>>* engines, Simulator* sim);
 
 }  // namespace net
 }  // namespace nettrails

@@ -200,15 +200,10 @@ Status CrashNode(NodeId v, const net::Topology& topo,
 Status RestartNode(NodeId v, const runtime::EngineCheckpoint& ckpt,
                    const net::Topology& topo,
                    std::vector<std::unique_ptr<runtime::Engine>>* engines,
-                   net::Simulator* sim,
-                   const std::function<void(NodeId)>& on_restored,
-                   bool run_to_quiescence) {
+                   net::Simulator* sim, bool run_to_quiescence) {
   NT_RETURN_IF_ERROR(sim->SetNodeUp(v, true));
   runtime::Engine* engine = (*engines)[v].get();
   engine->RestoreCheckpoint(ckpt);
-  // Observers were dropped by the restore; re-attach provenance stores and
-  // fence query caches before any reconciliation delta flows.
-  if (on_restored) on_restored(v);
   // Retract the restored remote-grounded share: v missed every retraction
   // addressed to it while down, so rows whose derivations executed on other
   // nodes may no longer be held by those nodes. The re-announcement below

@@ -5,7 +5,6 @@
 #ifndef NETTRAILS_PROTOCOLS_PROGRAMS_H_
 #define NETTRAILS_PROTOCOLS_PROGRAMS_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,18 +84,15 @@ Status CrashNode(NodeId v, const net::Topology& topo,
                  net::Simulator* sim, bool run_to_quiescence = true);
 
 /// Restarts node `v` from `ckpt`: brings its links back up, restores the
-/// engine checkpoint, invokes `on_restored` (attach fresh provenance
-/// store / fence query caches — must run before reconciliation so the new
-/// store observes the reconciliation deltas), reconciles away restored
-/// remote-grounded derivations that may be stale (v missed retractions
-/// addressed to it while down), then cycles v's link tuples on both
-/// endpoints to trigger re-announcement and re-convergence.
+/// engine checkpoint, reconciles away restored remote-grounded derivations
+/// that may be stale (v missed retractions addressed to it while down),
+/// then cycles v's link tuples on both endpoints to trigger
+/// re-announcement and re-convergence. Provenance stores and query caches
+/// need no call here: they read the restored tables and version.
 Status RestartNode(NodeId v, const runtime::EngineCheckpoint& ckpt,
                    const net::Topology& topo,
                    std::vector<std::unique_ptr<runtime::Engine>>* engines,
-                   net::Simulator* sim,
-                   const std::function<void(NodeId)>& on_restored = nullptr,
-                   bool run_to_quiescence = true);
+                   net::Simulator* sim, bool run_to_quiescence = true);
 
 }  // namespace protocols
 }  // namespace nettrails

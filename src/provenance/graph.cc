@@ -45,18 +45,17 @@ struct Builder {
     v.location = home;
     v.label = labeler(vid);
 
-    const std::vector<ProvEdge>* edges =
-        home < stores.size() ? stores[home]->EdgesFor(vid) : nullptr;
+    const std::vector<ProvEdge> edges = home < stores.size()
+                                            ? stores[home]->EdgesFor(vid)
+                                            : std::vector<ProvEdge>{};
     bool has_derivation = false;
-    if (edges != nullptr) {
-      for (const ProvEdge& e : *edges) {
-        if (e.IsSelf(vid)) {
-          v.is_base = true;
-          continue;
-        }
-        if (e.maybe && !include_maybe) continue;
-        has_derivation = true;
+    for (const ProvEdge& e : edges) {
+      if (e.IsSelf(vid)) {
+        v.is_base = true;
+        continue;
       }
+      if (e.maybe && !include_maybe) continue;
+      has_derivation = true;
     }
     // Unexplained tuples (no edges, or only excluded maybe edges) render
     // as leaves.
@@ -64,7 +63,7 @@ struct Builder {
     graph.vertices[vid] = v;
 
     if (has_derivation) {
-      for (const ProvEdge& e : *edges) {
+      for (const ProvEdge& e : edges) {
         if (e.IsSelf(vid)) continue;
         if (e.maybe && !include_maybe) continue;
         graph.edges.push_back({vid, e.rid, e.maybe});
@@ -76,15 +75,15 @@ struct Builder {
 
   void VisitExec(NodeId rloc, Vid rid, size_t depth) {
     if (graph.vertices.count(rid) || depth == 0) return;
-    const ExecEntry* exec =
-        rloc < stores.size() ? stores[rloc]->ExecFor(rid) : nullptr;
+    const std::optional<ExecEntry> exec =
+        rloc < stores.size() ? stores[rloc]->ExecFor(rid) : std::nullopt;
     Vertex v;
     v.id = rid;
     v.kind = VertexKind::kRuleExec;
     v.location = rloc;
-    v.label = exec != nullptr ? exec->rule : "rule?";
+    v.label = exec ? exec->rule : "rule?";
     graph.vertices[rid] = v;
-    if (exec == nullptr) return;
+    if (!exec) return;
     for (Vid input : exec->inputs) {
       graph.edges.push_back({rid, input, false});
       // Inputs of a rule execution are homed at the executing node.

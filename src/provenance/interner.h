@@ -1,9 +1,8 @@
-// Interning of 64-bit VIDs into dense 32-bit handles. The provenance churn
-// of a converging network re-touches the same vertices over and over (every
-// re-derivation of a tuple re-emits prov/ruleExec deltas naming the same
-// VIDs); interning gives each distinct VID a small dense handle once, so
-// the adjacency maps key on 4-byte handles instead of full digests and the
-// re-touch rate is directly observable (hits()). Leaf header: safe to
+// Interning of 64-bit VIDs into dense 32-bit handles. The engine interns
+// every tuple VID it registers; a converging network re-derives the same
+// tuples over and over, and interning gives each distinct VID a small dense
+// handle once, so the number of distinct vertices (size()) and the
+// re-touch rate (hits()) are directly observable. Leaf header: safe to
 // include from the runtime layer (depends only on common/).
 #ifndef NETTRAILS_PROVENANCE_INTERNER_H_
 #define NETTRAILS_PROVENANCE_INTERNER_H_

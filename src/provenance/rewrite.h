@@ -43,6 +43,10 @@ inline constexpr size_t kProvArity = 5;
 inline constexpr char kRuleExecTable[] = "ruleExec";
 inline constexpr size_t kRuleExecArity = 4;
 
+/// Field position of prov's VID and of ruleExec's RID. The planner indexes
+/// both views on it and the provenance store looks rows up through it.
+inline constexpr int kProvKeyField = 1;
+
 /// Prefix of generated execution-history views: eh_<rulename>.
 inline constexpr char kEhPrefix[] = "eh_";
 

@@ -56,9 +56,7 @@ Evidence CollectEvidence(const std::vector<const ProvStore*>& stores,
     auto [vid, home, depth] = frontier.front();
     frontier.pop_front();
     if (depth == 0 || home >= stores.size()) continue;
-    const std::vector<ProvEdge>* edges = stores[home]->EdgesFor(vid);
-    if (edges == nullptr) continue;
-    for (const ProvEdge& e : *edges) {
+    for (const ProvEdge& e : stores[home]->EdgesFor(vid)) {
       SignedEdge se;
       se.vid = vid;
       se.loc = home;
@@ -69,9 +67,10 @@ Evidence CollectEvidence(const std::vector<const ProvStore*>& stores,
       evidence.edges.push_back(se);
       if (e.IsSelf(vid)) continue;
       if (!seen_execs.insert(e.rid).second) continue;
-      const ExecEntry* exec =
-          e.rloc < stores.size() ? stores[e.rloc]->ExecFor(e.rid) : nullptr;
-      if (exec == nullptr) continue;
+      const std::optional<ExecEntry> exec =
+          e.rloc < stores.size() ? stores[e.rloc]->ExecFor(e.rid)
+                                 : std::nullopt;
+      if (!exec) continue;
       SignedExec sx;
       sx.rid = e.rid;
       sx.rloc = e.rloc;

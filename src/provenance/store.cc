@@ -8,145 +8,130 @@
 namespace nettrails {
 namespace provenance {
 
-using runtime::TableAction;
+using runtime::Table;
 using runtime::ValueToVid;
 
-ProvStore::ProvStore(runtime::Engine* engine) : engine_(engine) {
-  // Bootstrap from state that existed before this store attached.
-  for (const char* table : {kProvTable, kRuleExecTable}) {
-    const runtime::Table* t = engine_->GetTable(table);
-    if (t == nullptr) continue;
-    for (runtime::Table::RowHandle h : t->OrderedView()) {
-      const runtime::Table::Row& row = t->Deref(h);
-      OnAction(table, {row.fields, row.count, /*is_delete=*/false});
-    }
-  }
-  engine_->AddActionObserver(
-      [this](const std::string& table, const TableAction& action) {
-        OnAction(table, action);
-      });
+namespace {
+
+/// Id of the planner's index on `table`'s key field, or -1.
+int KeyIndexOf(const runtime::CompiledProgram& prog, const char* table) {
+  auto it = prog.table_indexes.find(table);
+  if (!prog.provenance || it == prog.table_indexes.end()) return -1;
+  const std::vector<std::vector<int>>& specs = it->second;
+  auto sit = std::find(specs.begin(), specs.end(),
+                       std::vector<int>{kProvKeyField});
+  return sit == specs.end() ? -1 : static_cast<int>(sit - specs.begin());
 }
 
-void ProvStore::OnAction(const std::string& table, const TableAction& action) {
-  if (table == kProvTable) {
-    // prov(@Loc, VID, RID, RLoc, Maybe)
-    if (action.fields.size() != kProvArity) return;
-    Vid vid = ValueToVid(action.fields[1]);
-    Vid rid = ValueToVid(action.fields[2]);
-    NodeId rloc = action.fields[3].is_address() ? action.fields[3].as_address()
-                                                : engine_->id();
-    bool maybe = action.fields[4].Truthy();
-    ++version_;
-    if (action.is_delete) {
-      // A retraction of an unknown vertex allocates nothing: the interner
-      // is append-only, so dead handles would accumulate otherwise.
-      VidInterner::Handle vh = interner()->Find(vid);
-      if (vh == VidInterner::kInvalidHandle) return;
-      auto eit = edges_.find(vh);
-      if (eit == edges_.end()) return;
-      std::vector<ProvEdge>& edges = eit->second;
-      for (size_t i = 0; i < edges.size(); ++i) {
-        ProvEdge& e = edges[i];
-        if (e.rid == rid && e.rloc == rloc && e.maybe == maybe) {
-          e.count -= action.mult;
-          if (e.count <= 0) {
-            edges.erase(edges.begin() + static_cast<long>(i));
-            if (edges.empty()) edges_.erase(eit);
-          }
-          return;
-        }
-      }
-      return;
-    }
-    VidInterner::Handle vh = interner()->Intern(vid);
-    std::vector<ProvEdge>& edges = edges_[vh];
-    for (ProvEdge& e : edges) {
-      if (e.rid == rid && e.rloc == rloc && e.maybe == maybe) {
-        e.count += action.mult;
-        return;
-      }
-    }
-    edges.push_back(ProvEdge{rid, rloc, maybe, action.mult});
-    return;
+// prov(@Loc, VID, RID, RLoc, Maybe)
+ProvEdge EdgeOf(const Table::Row& row, NodeId here) {
+  const ValueList& f = row.fields;
+  return ProvEdge{ValueToVid(f[2]),
+                  f[3].is_address() ? f[3].as_address() : here,
+                  f[4].Truthy(), row.count};
+}
+
+// ruleExec(@RLoc, RID, RuleName, VidList)
+ExecEntry ExecOf(const Table::Row& row) {
+  const ValueList& f = row.fields;
+  ExecEntry exec;
+  exec.rule = f[2].is_string() ? f[2].as_string() : "?";
+  if (f[3].is_list()) {
+    for (const Value& v : f[3].as_list()) exec.inputs.push_back(ValueToVid(v));
   }
-  if (table == kRuleExecTable) {
-    // ruleExec(@RLoc, RID, RuleName, VidList)
-    if (action.fields.size() != kRuleExecArity) return;
-    Vid rid = ValueToVid(action.fields[1]);
-    ++version_;
-    if (action.is_delete) {
-      VidInterner::Handle rh = interner()->Find(rid);
-      if (rh == VidInterner::kInvalidHandle) return;
-      auto it = execs_.find(rh);
-      if (it != execs_.end()) {
-        it->second.count -= action.mult;
-        if (it->second.count <= 0) execs_.erase(it);
-      }
-      return;
-    }
-    ExecEntry& entry = execs_[interner()->Intern(rid)];
-    if (entry.count == 0) {
-      entry.rule =
-          action.fields[2].is_string() ? action.fields[2].as_string() : "?";
-      entry.inputs.clear();
-      if (action.fields[3].is_list()) {
-        for (const Value& v : action.fields[3].as_list()) {
-          entry.inputs.push_back(ValueToVid(v));
-        }
-      }
-    }
-    entry.count += action.mult;
+  exec.count = row.count;
+  return exec;
+}
+
+}  // namespace
+
+ProvStore::ProvStore(const runtime::Engine* engine)
+    : engine_(engine),
+      prov_index_(KeyIndexOf(engine->program(), kProvTable)),
+      rule_exec_index_(KeyIndexOf(engine->program(), kRuleExecTable)) {}
+
+const Table* ProvStore::View(const char* table, int index_id) const {
+  return index_id < 0 ? nullptr : engine_->GetTable(table);
+}
+
+template <typename Fn>
+void ProvStore::ForEachRow(const char* table, int index_id, Vid vid,
+                           Fn&& fn) const {
+  const Table* t = View(table, index_id);
+  const std::vector<Table::RowHandle>* rows =
+      t == nullptr ? nullptr : t->Probe(index_id, {runtime::VidToValue(vid)});
+  if (rows == nullptr) return;
+  for (Table::RowHandle h : *rows) {
+    const Table::Row& row = t->Deref(h);
+    // Buckets are keyed by hash alone: skip colliding keys.
+    if (ValueToVid(row.fields[kProvKeyField]) == vid) fn(row);
   }
 }
 
-const std::vector<ProvEdge>* ProvStore::EdgesFor(Vid vid) const {
-  VidInterner::Handle h = interner()->Find(vid);
-  if (h == VidInterner::kInvalidHandle) return nullptr;
-  auto it = edges_.find(h);
-  return it == edges_.end() ? nullptr : &it->second;
+std::vector<ProvEdge> ProvStore::EdgesFor(Vid vid) const {
+  std::vector<ProvEdge> out;
+  ForEachRow(kProvTable, prov_index_, vid, [&](const Table::Row& row) {
+    out.push_back(EdgeOf(row, node()));
+  });
+  return out;
 }
 
-const ExecEntry* ProvStore::ExecFor(Vid rid) const {
-  VidInterner::Handle h = interner()->Find(rid);
-  if (h == VidInterner::kInvalidHandle) return nullptr;
-  auto it = execs_.find(h);
-  return it == execs_.end() ? nullptr : &it->second;
+std::optional<ExecEntry> ProvStore::ExecFor(Vid rid) const {
+  // The RID digests the rule, its location and its inputs: one row.
+  std::optional<ExecEntry> out;
+  ForEachRow(kRuleExecTable, rule_exec_index_, rid,
+             [&](const Table::Row& row) { out = ExecOf(row); });
+  return out;
 }
 
 std::vector<Vid> ProvStore::AllVids() const {
   std::vector<Vid> out;
-  out.reserve(edges_.size());
-  for (const auto& [vh, edges] : edges_) out.push_back(interner()->ToVid(vh));
+  if (const Table* prov = View(kProvTable, prov_index_)) {
+    for (Table::RowHandle h : prov->OrderedView()) {
+      out.push_back(ValueToVid(prov->Deref(h).fields[kProvKeyField]));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 size_t ProvStore::edge_count() const {
-  size_t n = 0;
-  for (const auto& [vid, edges] : edges_) n += edges.size();
-  return n;
+  const Table* prov = View(kProvTable, prov_index_);
+  return prov == nullptr ? 0 : prov->size();
+}
+
+size_t ProvStore::exec_count() const {
+  const Table* execs = View(kRuleExecTable, rule_exec_index_);
+  return execs == nullptr ? 0 : execs->size();
 }
 
 std::string ProvStore::CanonicalGraph() const {
   std::vector<std::string> lines;
-  lines.reserve(edges_.size() + execs_.size());
-  for (const auto& [vh, edges] : edges_) {
-    Vid vid = interner()->ToVid(vh);
-    for (const ProvEdge& e : edges) {
-      lines.push_back("edge " + std::to_string(vid) + " <- rid=" +
-                      std::to_string(e.rid) + " @" + std::to_string(e.rloc) +
-                      (e.maybe ? " maybe" : "") + " x" +
-                      std::to_string(e.count));
+  if (const Table* prov = View(kProvTable, prov_index_)) {
+    for (Table::RowHandle h : prov->OrderedView()) {
+      const Table::Row& row = prov->Deref(h);
+      const ProvEdge e = EdgeOf(row, node());
+      lines.push_back(
+          "edge " + std::to_string(ValueToVid(row.fields[kProvKeyField])) +
+          " <- rid=" + std::to_string(e.rid) + " @" + std::to_string(e.rloc) +
+          (e.maybe ? " maybe" : "") + " x" + std::to_string(e.count));
     }
   }
-  for (const auto& [rh, exec] : execs_) {
-    std::string line = "exec " + std::to_string(interner()->ToVid(rh)) + " " +
-                       exec.rule + "(";
-    for (size_t i = 0; i < exec.inputs.size(); ++i) {
-      if (i > 0) line += ",";
-      line += std::to_string(exec.inputs[i]);
+  if (const Table* execs = View(kRuleExecTable, rule_exec_index_)) {
+    for (Table::RowHandle h : execs->OrderedView()) {
+      const Table::Row& row = execs->Deref(h);
+      const ExecEntry exec = ExecOf(row);
+      std::string line =
+          "exec " + std::to_string(ValueToVid(row.fields[kProvKeyField])) +
+          " " + exec.rule + "(";
+      for (size_t i = 0; i < exec.inputs.size(); ++i) {
+        if (i > 0) line += ",";
+        line += std::to_string(exec.inputs[i]);
+      }
+      line += ") x" + std::to_string(exec.count);
+      lines.push_back(std::move(line));
     }
-    line += ") x" + std::to_string(exec.count);
-    lines.push_back(std::move(line));
   }
   std::sort(lines.begin(), lines.end());
   std::string out;

@@ -1,17 +1,18 @@
-// Per-node indexed view over the distributed provenance relations. The
-// engine maintains prov / ruleExec as ordinary NDlog views; ProvStore
-// observes their deltas and keeps the adjacency indexes the distributed
-// query engine and the visualizer traverse.
+// Per-node read-only view over the distributed provenance relations. The
+// engine maintains prov / ruleExec as ordinary NDlog views; ProvStore reads
+// their rows where they are stored, through the secondary indexes the
+// planner registers on prov[VID] and ruleExec[RID], for the distributed
+// query engine and the visualizer. It keeps no copy of the graph, so it
+// stays correct across Engine::RestoreCheckpoint without being re-attached.
 #ifndef NETTRAILS_PROVENANCE_STORE_H_
 #define NETTRAILS_PROVENANCE_STORE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/tuple.h"
-#include "src/provenance/interner.h"
 #include "src/runtime/engine.h"
 
 namespace nettrails {
@@ -37,25 +38,27 @@ struct ExecEntry {
 
 class ProvStore {
  public:
-  /// Attaches to the engine's action stream. The engine must outlive the
-  /// store.
-  explicit ProvStore(runtime::Engine* engine);
+  /// Views `engine`'s provenance tables. The engine must outlive the
+  /// store. Without the provenance rewrite the store is empty.
+  explicit ProvStore(const runtime::Engine* engine);
 
   NodeId node() const { return engine_->id(); }
   const runtime::Engine* engine() const { return engine_; }
 
-  /// Edges for a locally stored tuple VID (nullptr if none).
-  const std::vector<ProvEdge>* EdgesFor(Vid vid) const;
+  /// Edges for a locally stored tuple VID, in the order their prov rows
+  /// were inserted (empty if none).
+  std::vector<ProvEdge> EdgesFor(Vid vid) const;
 
-  /// Rule execution stored at this node (nullptr if unknown).
-  const ExecEntry* ExecFor(Vid rid) const;
+  /// Rule execution stored at this node (nullopt if unknown).
+  std::optional<ExecEntry> ExecFor(Vid rid) const;
 
-  /// All tuple VIDs with at least one edge (for graph export).
+  /// All tuple VIDs with at least one edge, ascending (for graph export).
   std::vector<Vid> AllVids() const;
 
-  /// Monotone version counter, bumped on every provenance change. Query
+  /// The engine's provenance version: it moves on every provenance change
+  /// and on every checkpoint restore, and never goes backwards. Query
   /// caches validate their entries against it.
-  uint64_t version() const { return version_; }
+  uint64_t version() const { return engine_->provenance_version(); }
 
   /// Canonical text serialization of this node's provenance slice: every
   /// edge and rule execution with its derivation count, sorted. Two stores
@@ -66,22 +69,22 @@ class ProvStore {
   std::string CanonicalGraph() const;
 
   size_t edge_count() const;
-  size_t exec_count() const { return execs_.size(); }
+  size_t exec_count() const;
 
  private:
-  void OnAction(const std::string& table, const runtime::TableAction& action);
+  /// `table` if the planner indexed it under `index_id`, else nullptr.
+  /// Looked up on every call: RestoreCheckpoint rebuilds the engine's
+  /// tables.
+  const runtime::Table* View(const char* table, int index_id) const;
 
-  VidInterner* interner() const { return engine_->vid_interner(); }
+  /// Calls `fn` on each row of `table` whose key field is `vid`.
+  template <typename Fn>
+  void ForEachRow(const char* table, int index_id, Vid vid, Fn&& fn) const;
 
-  runtime::Engine* engine_;
-  /// Adjacency keyed by interned 32-bit VID handles (the engine's interner,
-  /// shared with the VID index): provenance churn re-touches the same
-  /// vertices constantly, so entries key on a dense 4-byte handle and the
-  /// re-touch rate is visible in EngineStats::vid_intern_hits. Public
-  /// lookups (EdgesFor/ExecFor) translate Vid -> handle without allocating.
-  std::unordered_map<VidInterner::Handle, std::vector<ProvEdge>> edges_;
-  std::unordered_map<VidInterner::Handle, ExecEntry> execs_;
-  uint64_t version_ = 0;
+  const runtime::Engine* engine_;
+  /// Ids of the planner's prov[VID] and ruleExec[RID] indexes.
+  int prov_index_ = -1;
+  int rule_exec_index_ = -1;
 };
 
 }  // namespace provenance

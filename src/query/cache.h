@@ -1,7 +1,8 @@
 // Per-node provenance query result cache (one of the ExSPAN query
 // optimizations: "caching previously queried results"). Entries are
-// validated against the provenance store's version counter, so any
-// provenance change invalidates stale results without eager flushing.
+// validated against the engine's provenance version, which moves on every
+// prov / ruleExec change and on every checkpoint restore, so any change to
+// the node's provenance invalidates stale results without eager flushing.
 #ifndef NETTRAILS_QUERY_CACHE_H_
 #define NETTRAILS_QUERY_CACHE_H_
 
@@ -92,18 +93,6 @@ class ResultCache {
     entries_.clear();
     hits_ = 0;
     misses_ = 0;
-  }
-
-  /// Restart fence. A recovered node attaches a *fresh* ProvStore whose
-  /// version counter restarts near zero, so version comparison alone cannot
-  /// distinguish "same version, same graph" from "same version, different
-  /// incarnation". Drops every entry AND forgets the observed version —
-  /// unlike Clear, which keeps hit/miss counters, this resets the version
-  /// watermark so post-restart Stores at small versions are not rejected
-  /// as stale.
-  void InvalidateForRestart() {
-    entries_.clear();
-    seen_version_ = 0;
   }
 
   uint64_t hits() const { return hits_; }

@@ -112,7 +112,7 @@ std::set<Vid> DecodePath(const Value& v) {
 }  // namespace
 
 QueryService::QueryService(net::Simulator* sim, runtime::Engine* engine,
-                           provenance::ProvStore* store)
+                           const provenance::ProvStore* store)
     : sim_(sim), engine_(engine), store_(store) {
   channel_ = sim_->InternChannel(kProvQueryChannel);
   sim_->RegisterHandler(engine_->id(), kProvQueryChannel,
@@ -157,7 +157,6 @@ void QueryService::ResolveTuple(uint64_t qid, const QueryOptions& opts,
     }
   }
 
-  const std::vector<provenance::ProvEdge>* edges = store_->EdgesFor(vid);
   auto fan = std::make_shared<Fanout>();
   fan->opts = opts;
   fan->product = false;
@@ -165,15 +164,11 @@ void QueryService::ResolveTuple(uint64_t qid, const QueryOptions& opts,
 
   bool leaf_contribution = false;
   std::vector<provenance::ProvEdge> child_edges;
-  if (edges != nullptr) {
-    for (const provenance::ProvEdge& e : *edges) {
-      if (e.IsSelf(vid)) {
-        leaf_contribution = true;
-      } else if (e.maybe && !opts.include_maybe) {
-        continue;
-      } else {
-        child_edges.push_back(e);
-      }
+  for (const provenance::ProvEdge& e : store_->EdgesFor(vid)) {
+    if (e.IsSelf(vid)) {
+      leaf_contribution = true;
+    } else if (!e.maybe || opts.include_maybe) {
+      child_edges.push_back(e);
     }
   }
   // No usable derivation (including the case where every edge was a maybe
@@ -247,8 +242,8 @@ void QueryService::ResolveExecAt(uint64_t qid, const QueryOptions& opts,
 void QueryService::ResolveExec(uint64_t qid, const QueryOptions& opts, Vid rid,
                                uint32_t depth, const std::set<Vid>& path,
                                Done done) {
-  const provenance::ExecEntry* exec = store_->ExecFor(rid);
-  if (exec == nullptr || depth == 0) {
+  const std::optional<provenance::ExecEntry> exec = store_->ExecFor(rid);
+  if (!exec || depth == 0) {
     PartialResult r;
     r.truncated = true;
     done(r);
@@ -348,16 +343,6 @@ void QueryService::HandleReply(const Tuple& rep) {
 
 void QueryService::ClearQuery(uint64_t qid) { memo_.erase(qid); }
 
-void QueryService::OnNodeRestart(provenance::ProvStore* new_store) {
-  store_ = new_store;
-  cache_.InvalidateForRestart();
-  // Memoized partials and pending remote continuations reference the dead
-  // incarnation's graph; any in-flight query over a crashing node is
-  // abandoned rather than answered from stale state.
-  memo_.clear();
-  pending_.clear();
-}
-
 ProvenanceQuerier::ProvenanceQuerier(net::Simulator* sim,
                                      std::vector<runtime::Engine*> engines)
     : sim_(sim), engines_(std::move(engines)) {
@@ -448,16 +433,6 @@ uint64_t ProvenanceQuerier::total_cache_misses() const {
 
 void ProvenanceQuerier::ClearCaches() {
   for (auto& s : services_) s->cache().Clear();
-}
-
-void ProvenanceQuerier::RestartNode(NodeId id) {
-  assert(id < stores_.size());
-  // The fresh store's constructor replays the restored prov/ruleExec rows
-  // into its adjacency indexes and registers a new engine observer, so it
-  // must be built after Engine::RestoreCheckpoint has repopulated tables
-  // (and cleared the old observers).
-  stores_[id] = std::make_unique<provenance::ProvStore>(engines_[id]);
-  services_[id]->OnNodeRestart(stores_[id].get());
 }
 
 }  // namespace query

@@ -64,7 +64,7 @@ class QueryService {
   using Done = std::function<void(const PartialResult&)>;
 
   QueryService(net::Simulator* sim, runtime::Engine* engine,
-               provenance::ProvStore* store);
+               const provenance::ProvStore* store);
 
   NodeId node() const { return engine_->id(); }
 
@@ -75,13 +75,6 @@ class QueryService {
 
   /// Drops per-query memoization state.
   void ClearQuery(uint64_t qid);
-
-  /// Re-points the service at the store attached to a restarted engine and
-  /// fences all cached/memoized results from the previous incarnation.
-  /// Must be called whenever the node's ProvStore is replaced — cached
-  /// answers keyed by the old store's version counter would otherwise be
-  /// served against the new store's unrelated counter.
-  void OnNodeRestart(provenance::ProvStore* new_store);
 
   ResultCache& cache() { return cache_; }
   uint64_t remote_requests_served() const { return remote_requests_served_; }
@@ -105,7 +98,7 @@ class QueryService {
 
   net::Simulator* sim_;
   runtime::Engine* engine_;
-  provenance::ProvStore* store_;
+  const provenance::ProvStore* store_;
   /// Interned kProvQueryChannel id, resolved once at construction.
   net::ChannelId channel_ = 0;
   ResultCache cache_;
@@ -142,12 +135,6 @@ class ProvenanceQuerier {
   uint64_t total_cache_hits() const;
   uint64_t total_cache_misses() const;
   void ClearCaches();
-
-  /// Rebinds node `id` after an engine crash+restore: replaces its
-  /// ProvStore with a fresh one (which re-bootstraps adjacency from the
-  /// restored prov/ruleExec tables) and fences the node's query cache so
-  /// no pre-crash answer survives into the new incarnation.
-  void RestartNode(NodeId id);
 
  private:
   net::Simulator* sim_;

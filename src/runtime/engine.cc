@@ -15,6 +15,12 @@ namespace {
 
 using ndlog::Atom;
 
+/// The views ProvStore reads: changes to them move provenance_version().
+bool IsProvenanceView(const std::string& table) {
+  return table == provenance::kProvTable ||
+         table == provenance::kRuleExecTable;
+}
+
 /// VID of the concrete tuple a lowered atom matched, hashed straight from
 /// the frame (used for aggregate provenance). Bit-identical to
 /// TupleVid(predicate, fields-materialized-from-the-frame) — it replays
@@ -42,7 +48,6 @@ Result<Vid> AtomVid(const std::string& predicate, const CompiledAtom& atom,
 Engine::Engine(net::Simulator* sim, NodeId id, CompiledProgramPtr prog,
                EngineOptions opts)
     : sim_(sim), id_(id), prog_(std::move(prog)), opts_(opts) {
-  if (prog_->provenance) opts_.track_vid_index = true;
   InitTables();
   tuple_channel_ = sim_->InternChannel(kTupleChannel);
   sim_->RegisterHandler(id_, kTupleChannel,
@@ -55,15 +60,13 @@ void Engine::InitTables() {
   for (const auto& [name, info] : prog_->tables) {
     if (info.materialized) tables_.emplace(name, Table(info));
   }
-  if (opts_.use_secondary_indexes) {
-    // Registration order must match the compiled index ids (AddIndex
-    // returns ids sequentially and the planner dedups per table).
-    for (const auto& [name, specs] : prog_->table_indexes) {
-      auto it = tables_.find(name);
-      if (it == tables_.end()) continue;
-      for (const std::vector<int>& positions : specs) {
-        it->second.AddIndex(positions);
-      }
+  // Registration order must match the compiled index ids (AddIndex
+  // returns ids sequentially and the planner dedups per table).
+  for (const auto& [name, specs] : prog_->table_indexes) {
+    auto it = tables_.find(name);
+    if (it == tables_.end()) continue;
+    for (const std::vector<int>& positions : specs) {
+      it->second.AddIndex(positions);
     }
   }
   // Resolve each body atom's table once: the join loop indexes
@@ -322,15 +325,15 @@ void Engine::ProcessBatch() {
   }
 
   // Per-tuple post-processing in application order: exactly the serial
-  // per-action bookkeeping (provenance observers still see every tuple).
+  // per-action bookkeeping (observers still see every tuple).
   // Under the rewrite, its own views (eh_* / prov / ruleExec) are never
   // provenance vertices — the graph references program-tuple VIDs and
   // RIDs, both digested by f_mkvid/f_mkrid — so their rows skip VID
   // registration. Gated on prog_->provenance: without the rewrite those
   // names are ordinary user tables.
   const bool track_vids =
-      opts_.track_vid_index &&
       !(prog_->provenance && provenance::IsProvenancePredicate(table_name));
+  if (IsProvenanceView(table_name)) provenance_version_ += actions.size();
   for (const TableAction& action : actions) {
     if (track_vids && !action.is_delete) {
       RegisterVid(table_name, action.fields);
@@ -350,7 +353,7 @@ void Engine::ProcessEventBatch(const std::string& name,
   const ActionBuffer& actions = batch_actions_;
   for (Delta& d : *deltas) {
     if (d.is_delete) continue;
-    if (opts_.track_vid_index) RegisterVid(name, d.fields);
+    RegisterVid(name, d.fields);
     TableAction& a = batch_actions_.Append();
     a.fields = d.fields;  // copy into the slot's recycled buffer
     a.mult = d.mult;
@@ -388,9 +391,7 @@ void Engine::ProcessDelta(const Delta& delta) {
   if (it == tables_.end()) {
     // Event: fire triggers, register the VID, never store.
     if (delta.is_delete) return;  // events have no retraction
-    if (opts_.track_vid_index) {
-      RegisterVid(delta.table, delta.fields);
-    }
+    RegisterVid(delta.table, delta.fields);
     TableAction action{delta.fields, delta.mult, /*is_delete=*/false};
     FireTriggers(delta.table, action);
     return;
@@ -404,8 +405,8 @@ void Engine::ProcessDelta(const Delta& delta) {
   // See ProcessBatch: under the rewrite, its own views never need VID
   // registration.
   const bool track_vids =
-      opts_.track_vid_index &&
       !(prog_->provenance && provenance::IsProvenancePredicate(delta.table));
+  if (IsProvenanceView(delta.table)) provenance_version_ += actions.size();
   for (const TableAction& action : actions) {
     // Rules see the pre-action store; atoms positioned before the delta
     // atom adjust by the action's effect (exact semi-naive maintenance).
@@ -1076,9 +1077,9 @@ void Engine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   dirty_aggs_.clear();
   outbox_.Clear();
   outbox_order_.clear();
-  // Pre-crash observers (the node's ProvStore among them) reference dead
-  // state; the recovery harness attaches fresh ones after this returns.
-  observers_.clear();
+  // The restored provenance slice is a different graph from the one the
+  // crash interrupted: move the version so no cached answer survives.
+  ++provenance_version_;
 
   // Tables are rebuilt from scratch — term_tables_ holds raw pointers into
   // tables_, so InitTables re-resolves it too. Rows load through the

@@ -37,12 +37,10 @@ struct EngineOptions {
   /// Safety valve: abort (and flag overflowed()) if a single external
   /// trigger cascades into more than this many actions.
   uint64_t max_actions_per_trigger = 2'000'000;
-  /// Maintain the VID -> tuple index (needed by the provenance query
-  /// engine; forced on when the program has provenance).
-  bool track_vid_index = true;
   /// Probe planner-selected secondary hash indexes in the join loop instead
-  /// of scanning tables. Off is only useful for measuring the speedup
-  /// (bench_join) — results are identical either way.
+  /// of scanning tables. The indexes are maintained either way (the
+  /// provenance store reads through them); off is only useful for measuring
+  /// the join speedup (bench_join), and results are identical.
   bool use_secondary_indexes = true;
   /// Maximum tuples drained from the local queue into one DeltaBatch (a run
   /// of consecutive same-table deltas processed together: one trigger
@@ -88,8 +86,9 @@ struct EngineStats {
   /// hash was already computed). The cached-hash win: re-digest count per
   /// distinct list drops to <= 1.
   uint64_t hash_cache_hits = 0;
-  /// VidInterner lookups that found an already-interned VID (eh_* / prov /
-  /// ruleExec churn re-touching known vertices).
+  /// VID registrations that found an already-interned VID: re-derivations
+  /// and events re-touching known tuple vertices. Under the provenance
+  /// rewrite its own views (eh_* / prov / ruleExec) are never registered.
   uint64_t vid_intern_hits = 0;
   /// Heap allocations (global operator new calls, process-wide) that landed
   /// while this engine was draining its delta queue. Reads 0 unless the
@@ -195,10 +194,15 @@ class Engine {
   /// for deleted state are retained while provenance references them.
   const Tuple* FindTupleByVid(Vid vid) const;
 
-  /// This node's VID interner, shared with the provenance store so engine
-  /// and store agree on handles. Stats land in EngineStats::vid_intern_hits.
+  /// This node's VID interner (every registered tuple VID, in first-seen
+  /// order). Stats land in EngineStats::vid_intern_hits.
   provenance::VidInterner* vid_interner() { return &vid_interner_; }
   const provenance::VidInterner& vid_interner() const { return vid_interner_; }
+
+  /// Moves on every applied prov / ruleExec action and on every
+  /// RestoreCheckpoint, and never goes backwards: equal values mean an
+  /// unchanged provenance slice. ProvStore::version() reads it.
+  uint64_t provenance_version() const { return provenance_version_; }
 
   void AddActionObserver(ActionObserver obs) {
     observers_.push_back(std::move(obs));
@@ -231,24 +235,22 @@ class Engine {
   /// join loop's table resolution included), aggregate state, soft-state
   /// bookkeeping (expiry timers are re-armed at their absolute deadlines —
   /// deadlines that passed while the node was down fire immediately), the
-  /// VID interner, and the VID index. Action observers are dropped (a
-  /// pre-crash ProvStore points at dead state; the recovery harness
-  /// attaches a fresh store, which bootstraps itself from the restored
-  /// prov/ruleExec tables). Periodic streams restart from iteration 1.
+  /// VID interner and the VID index. It moves provenance_version(), so
+  /// stores reading the rebuilt tables never serve a pre-restore cached
+  /// answer. Periodic streams restart from iteration 1.
   void RestoreCheckpoint(const EngineCheckpoint& ckpt);
 
-  /// Recovery reconciliation, run after RestoreCheckpoint (and after the
-  /// fresh provenance store is attached): retracts the remote-grounded
-  /// share of every restored tuple — derivations whose rule execution
-  /// lives on another node (prov rows with RLoc != this node). A restarted
-  /// node missed every retraction addressed to it while it was down, so
-  /// remotely-derived rows in its checkpoint may be stale; dropping them
-  /// (with full local cascade) and letting neighbors re-announce is what
-  /// makes recovery converge to the fault-free fixpoint. The cascade does
-  /// NOT ship retractions of this node's own exports: the survivors already
-  /// scrubbed those at crash time (DropDerivationsFrom), and re-shipping
-  /// would land unmatched -1 deltas that eat same-fields sibling
-  /// derivations at the receiver.
+  /// Recovery reconciliation, run after RestoreCheckpoint: retracts the
+  /// remote-grounded share of every restored tuple — derivations whose rule
+  /// execution lives on another node (prov rows with RLoc != this node). A
+  /// restarted node missed every retraction addressed to it while it was
+  /// down, so remotely-derived rows in its checkpoint may be stale; dropping
+  /// them (with full local cascade) and letting neighbors re-announce is
+  /// what makes recovery converge to the fault-free fixpoint. The cascade
+  /// does NOT ship retractions of this node's own exports: the survivors
+  /// already scrubbed those at crash time (DropDerivationsFrom), and
+  /// re-shipping would land unmatched -1 deltas that eat same-fields
+  /// sibling derivations at the receiver.
   void DropRemoteDerivations();
 
   /// Survivor-side half of the crash protocol: retracts every row whose
@@ -455,6 +457,7 @@ class Engine {
 
   std::unordered_map<Vid, Tuple> vid_index_;
   provenance::VidInterner vid_interner_;
+  uint64_t provenance_version_ = 0;
 
   struct AggGroupState {
     AggGroup group;

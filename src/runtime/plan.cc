@@ -329,6 +329,18 @@ Result<CompiledProgramPtr> Compile(const std::string& source,
                       &prog->table_indexes);
     }
   }
+  // The provenance store reads prov by VID and ruleExec by RID. Appended
+  // after the join plans' indexes, so their ids are unchanged.
+  if (options.provenance) {
+    for (const char* view : {provenance::kProvTable,
+                             provenance::kRuleExecTable}) {
+      std::vector<std::vector<int>>& specs = prog->table_indexes[view];
+      const std::vector<int> key{provenance::kProvKeyField};
+      if (std::find(specs.begin(), specs.end(), key) == specs.end()) {
+        specs.push_back(key);
+      }
+    }
+  }
 
   prog->program = std::move(analyzed.program);
   return CompiledProgramPtr(std::move(prog));

@@ -23,10 +23,9 @@ struct LinkEvent {
 };
 
 struct LogStoreOptions {
-  /// Capture provenance tables (prov/ruleExec/eh_*) in snapshots.
+  /// Capture the provenance tables prov/ruleExec in snapshots. The
+  /// internal eh_* views are never captured.
   bool include_provenance = true;
-  /// Capture internal eh_* views (verbose).
-  bool include_eh = false;
 };
 
 class LogStore {

@@ -166,15 +166,14 @@ struct World {
         }
         if (name.rfind("_d") == name.size() - 2) continue;  // localized aux
         for (const Tuple& t : e->TableContents(name)) {
-          const std::vector<provenance::ProvEdge>* edges =
+          const std::vector<provenance::ProvEdge> edges =
               store->EdgesFor(t.Hash());
-          ASSERT_NE(edges, nullptr) << "orphan " << t.ToString();
-          ASSERT_FALSE(edges->empty()) << "orphan " << t.ToString();
-          for (const provenance::ProvEdge& edge : *edges) {
+          ASSERT_FALSE(edges.empty()) << "orphan " << t.ToString();
+          for (const provenance::ProvEdge& edge : edges) {
             if (edge.IsSelf(t.Hash())) continue;
-            const provenance::ExecEntry* exec =
+            const std::optional<provenance::ExecEntry> exec =
                 querier->store(edge.rloc)->ExecFor(edge.rid);
-            ASSERT_NE(exec, nullptr)
+            ASSERT_TRUE(exec.has_value())
                 << "dangling exec for " << t.ToString();
             for (Vid input : exec->inputs) {
               EXPECT_NE(engines[edge.rloc]->FindTupleByVid(input), nullptr)
@@ -321,9 +320,8 @@ TEST(ChaosTest, CrashRecoveryReconvergesToTheUncrashedWorld) {
       ASSERT_TRUE(protocols::RecoverLink(churn->a, churn->b, churn->cost,
                                          &w.engines, &w.sim)
                       .ok());
-      ASSERT_TRUE(protocols::RestartNode(
-                      kVictim, ckpt, w.topo, &w.engines, &w.sim,
-                      [&](NodeId id) { w.querier->RestartNode(id); })
+      ASSERT_TRUE(protocols::RestartNode(kVictim, ckpt, w.topo, &w.engines,
+                                         &w.sim)
                       .ok());
       EXPECT_TRUE(w.sim.NodeUp(kVictim));
       w.CheckHealthy();
@@ -369,9 +367,8 @@ TEST(ChaosTest, CrashRecoveryUnderTimingFaults) {
             w.engines[kVictim]->TakeCheckpoint();
         EXPECT_TRUE(
             protocols::CrashNode(kVictim, w.topo, &w.engines, &w.sim).ok());
-        EXPECT_TRUE(protocols::RestartNode(
-                        kVictim, ckpt, w.topo, &w.engines, &w.sim,
-                        [&](NodeId id) { w.querier->RestartNode(id); })
+        EXPECT_TRUE(protocols::RestartNode(kVictim, ckpt, w.topo, &w.engines,
+                                           &w.sim)
                         .ok());
       }
       w.sim.RunUntil(

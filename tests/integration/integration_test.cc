@@ -66,7 +66,7 @@ TEST_F(DeclarativeChurnTest, ProvenanceTracksIncrementalRecomputation) {
   }
   EXPECT_FALSE(engines_[0]->HasTuple(target));
   // Its prov edges are gone from the home node's store.
-  EXPECT_EQ(querier_->store(0)->EdgesFor(target.Hash()), nullptr);
+  EXPECT_TRUE(querier_->store(0)->EdgesFor(target.Hash()).empty());
 }
 
 TEST_F(DeclarativeChurnTest, QueriesConsistentAfterRecovery) {

@@ -119,10 +119,8 @@ CellRun RunCell(const std::string& proto, const net::Topology& topo,
   query::ProvenanceQuerier querier(&sim, protocols::EnginePtrs(engines));
 
   EXPECT_TRUE(protocols::InstallLinks(topo, &engines, &sim).ok());
-  net::ScenarioRunOptions opts;
-  opts.on_restored = [&](NodeId id) { querier.RestartNode(id); };
   Result<net::ScenarioRunStats> stats =
-      net::RunScenario(scn, topo, &engines, &sim, opts);
+      net::RunScenario(scn, topo, &engines, &sim);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   if (stats.ok()) out.applied = stats->applied;
 

@@ -38,10 +38,8 @@ TEST_F(StoreTest, BaseTupleGetsSelfEdge) {
   Tuple link("link", {Value::Address(0), Value::Address(1), Value::Int(3)});
   ASSERT_TRUE(engine_->Insert(link).ok());
   sim_.Run();
-  const std::vector<ProvEdge>* edges = store_->EdgesFor(link.Hash());
-  ASSERT_NE(edges, nullptr);
   bool has_self = false;
-  for (const ProvEdge& e : *edges) {
+  for (const ProvEdge& e : store_->EdgesFor(link.Hash())) {
     if (e.IsSelf(link.Hash())) has_self = true;
   }
   EXPECT_TRUE(has_self);
@@ -54,15 +52,14 @@ TEST_F(StoreTest, DerivedTupleGetsExecEdge) {
   sim_.Run();
   Tuple reach("reach", {Value::Address(0), Value::Address(0)});
   ASSERT_TRUE(engine_->HasTuple(reach));
-  const std::vector<ProvEdge>* edges = store_->EdgesFor(reach.Hash());
-  ASSERT_NE(edges, nullptr);
-  ASSERT_EQ(edges->size(), 1u);
-  const ProvEdge& e = (*edges)[0];
+  const std::vector<ProvEdge> edges = store_->EdgesFor(reach.Hash());
+  ASSERT_EQ(edges.size(), 1u);
+  const ProvEdge& e = edges[0];
   EXPECT_FALSE(e.IsSelf(reach.Hash()));
   EXPECT_FALSE(e.maybe);
   EXPECT_EQ(e.rloc, 0u);
-  const ExecEntry* exec = store_->ExecFor(e.rid);
-  ASSERT_NE(exec, nullptr);
+  const std::optional<ExecEntry> exec = store_->ExecFor(e.rid);
+  ASSERT_TRUE(exec.has_value());
   EXPECT_EQ(exec->rule, "r1");
   ASSERT_EQ(exec->inputs.size(), 1u);
   EXPECT_EQ(exec->inputs[0], link.Hash());
@@ -78,8 +75,8 @@ TEST_F(StoreTest, DeletionRemovesEdgesAndBumpsVersion) {
   sim_.Run();
   EXPECT_GT(store_->version(), v1);
   Tuple reach("reach", {Value::Address(0), Value::Address(0)});
-  EXPECT_EQ(store_->EdgesFor(reach.Hash()), nullptr);
-  EXPECT_EQ(store_->EdgesFor(link.Hash()), nullptr);
+  EXPECT_TRUE(store_->EdgesFor(reach.Hash()).empty());
+  EXPECT_TRUE(store_->EdgesFor(link.Hash()).empty());
   EXPECT_EQ(store_->exec_count(), 0u);
   EXPECT_EQ(store_->edge_count(), 0u);
 }
@@ -88,9 +85,9 @@ TEST_F(StoreTest, BootstrapFromExistingState) {
   Tuple link("link", {Value::Address(0), Value::Address(0), Value::Int(3)});
   ASSERT_TRUE(engine_->Insert(link).ok());
   sim_.Run();
-  // A store attached after the fact indexes the current tables.
+  // A store attached after the fact reads the current tables.
   ProvStore late(engine_.get());
-  EXPECT_NE(late.EdgesFor(link.Hash()), nullptr);
+  EXPECT_FALSE(late.EdgesFor(link.Hash()).empty());
   EXPECT_EQ(late.edge_count(), store_->edge_count());
   EXPECT_EQ(late.exec_count(), store_->exec_count());
 }

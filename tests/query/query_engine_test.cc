@@ -359,6 +359,62 @@ TEST_F(QueryDiamondTest, DepthLimitTruncates) {
   EXPECT_TRUE(r->truncated);
 }
 
+// A checkpoint restore rebuilds the tables under a querier attached before
+// it, and nothing re-attaches the querier. Its store must read the restored
+// provenance, and its caches must not serve answers cached before the
+// restore — including answers cached at the very version the engine held
+// when it restored. Both must match a querier built after the restore.
+TEST(QueryRestoreTest, RestoredEngineNeedsNoReattach) {
+  Result<runtime::CompiledProgramPtr> prog =
+      runtime::Compile(protocols::MincostProgram());
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  net::Simulator sim;
+  const net::Topology topo = net::MakeRing(5, 1);
+  std::vector<std::unique_ptr<runtime::Engine>> engines =
+      protocols::MakeEngines(&sim, topo, *prog);
+  ProvenanceQuerier querier(&sim, protocols::EnginePtrs(engines));
+  ASSERT_TRUE(protocols::InstallLinks(topo, &engines, &sim).ok());
+
+  const NodeId kNode = 0;
+  std::vector<Tuple> targets;
+  for (const char* table : {"link", "cost", "mincost"}) {
+    for (const Tuple& t : engines[kNode]->TableContents(table)) {
+      targets.push_back(t);
+    }
+  }
+  ASSERT_FALSE(targets.empty());
+  // Every target's answer (count, leaves, nodes) as comparable text.
+  auto answers = [&targets](ProvenanceQuerier* q) {
+    std::vector<std::string> out;
+    for (const Tuple& t : targets) {
+      Result<QueryResult> r = q->Query(t);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (!r.ok()) continue;
+      std::string line = t.ToString() + " x" + std::to_string(r->count);
+      for (const std::string& leaf : r->leaf_tuples) line += " " + leaf;
+      for (NodeId n : r->nodes) line += " @" + std::to_string(n);
+      out.push_back(std::move(line));
+    }
+    return out;
+  };
+
+  const std::vector<std::string> before = answers(&querier);
+  runtime::EngineCheckpoint ckpt = engines[kNode]->TakeCheckpoint();
+  ASSERT_TRUE(protocols::FailLink(0, 1, 1, &engines, &sim).ok());
+  // Cache the post-failure answers at the version the restore starts from.
+  ASSERT_NE(answers(&querier), before);
+  const uint64_t version = querier.store(kNode)->version();
+  engines[kNode]->RestoreCheckpoint(ckpt);
+  EXPECT_GT(querier.store(kNode)->version(), version);
+
+  const std::string graph = querier.store(kNode)->CanonicalGraph();
+  const std::vector<std::string> after = answers(&querier);
+  // Built last: its services take over the provq handlers.
+  ProvenanceQuerier fresh(&sim, protocols::EnginePtrs(engines));
+  EXPECT_EQ(graph, fresh.store(kNode)->CanonicalGraph());
+  EXPECT_EQ(after, answers(&fresh));
+}
+
 }  // namespace
 }  // namespace query
 }  // namespace nettrails

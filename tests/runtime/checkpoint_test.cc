@@ -2,8 +2,8 @@
 // fixpoints with derivation counts, aggregate group internals (so later
 // incremental updates behave as if the crash never happened), the VID
 // interner and index, soft-state lifetimes at their ORIGINAL absolute
-// deadlines, and the provenance slice (a fresh ProvStore bootstrapped from
-// the restored tables reproduces the canonical graph). HaltForCrash must
+// deadlines, and the provenance slice (the node's ProvStore, reading the
+// restored tables, reproduces the canonical graph). HaltForCrash must
 // fence every pending timer of the dead incarnation.
 #include <gtest/gtest.h>
 
@@ -70,9 +70,7 @@ TEST(CheckpointTest, RoundTripPreservesConvergedState) {
   EngineCheckpoint ckpt = engines[1]->TakeCheckpoint();
   engines[1]->HaltForCrash();
   engines[1]->RestoreCheckpoint(ckpt);
-  // The restore cleared the observers; the old store is dead. A fresh one
-  // bootstraps its adjacency from the restored prov/ruleExec tables.
-  store = std::make_unique<provenance::ProvStore>(engines[1].get());
+  // The store reads the rebuilt prov/ruleExec tables: nothing to re-attach.
 
   EXPECT_EQ(EngineFingerprint(*engines[1]), before);
   EXPECT_EQ(store->CanonicalGraph(), graph_before);
