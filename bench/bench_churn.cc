@@ -6,13 +6,12 @@
 // path-vector runs at small sizes, where its loop-free path enumeration
 // stays tractable.
 //
-// The flap benchmarks take (nodes, batch_size) so one run compares the
-// serial pipeline (batch_size=1) against batched delta processing: the
-// dispatches_per_flap counter (trigger-index dispatches per converged
-// flap) is the amortization headline — batch_size>=8 must cut it >=2x —
-// with msgs_per_flap showing the per-destination frame win on the wire
-// (tuples_per_flap stays constant: framing changes packaging, not
-// content).
+// The flap benchmarks take (nodes, batch_size) so one run compares
+// one-tuple frames (batch_size=1) against per-destination frame coalescing:
+// msgs_per_flap shows the framing win on the wire, while tuples_per_flap
+// and dispatches_per_flap (trigger-index dispatches, one per visible
+// action) change only as far as coalescing reorders deliveries — framing
+// changes packaging, not evaluation.
 #include <benchmark/benchmark.h>
 
 #include <string>

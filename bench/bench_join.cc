@@ -9,7 +9,7 @@
 // (loc, dst, cost) bound — asymptotically fewer candidate rows, the
 // headline speedup. Mincost joins bind only the location attribute
 // (per-node fan-out: every local row matches), so its gain comes from the
-// O(1) hashed key index on PlanInsert/PlanDelete/Apply/CountOf rather than
+// O(1) hashed key index on Plan/Apply/CountOf rather than
 // candidate reduction. The join_rows / index_probes counters make the
 // difference visible.
 #include <benchmark/benchmark.h>

@@ -13,11 +13,11 @@
 namespace nettrails {
 namespace {
 
-// Args are (nodes, batch_size): batch_size=1 is the serial pipeline,
-// batch_size>1 the batched delta pipeline (identical fixpoints, proven by
-// tests/runtime/batch_equivalence_test.cc). The batch counters show where
-// the amortization lands: trigger_dispatches and agg_recomputes drop while
-// rule_firings and tuples (content) stay put.
+// Args are (nodes, batch_size): batch_size caps the tuples per shipped
+// frame, 1 shipping every delta alone (identical fixpoints at every size,
+// proven by tests/runtime/batch_equivalence_test.cc). `batches` counts the
+// multi-tuple frames receivers unpacked; messages drop with coalescing
+// while tuples (content) stay put.
 void RunMaintenance(benchmark::State& state, const char* program,
                     bool provenance) {
   const size_t n = static_cast<size_t>(state.range(0));

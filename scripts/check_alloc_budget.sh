@@ -10,9 +10,15 @@
 #
 # History (mincost, n=24): the pre-pooling pipeline measured 51,390
 # allocs/flap at batch 64 and 54,529 at batch 1; the pooled pipeline
-# measures ~3,920 and ~13,100. Budgets carry ~15% headroom over the
-# measured values so noise does not flake CI, while any real per-tuple
-# regression (one alloc per shipped tuple is ~1,300/flap) trips the gate.
+# measured ~3,920 and ~13,100. Batch 1 then still ran a separate serial
+# path that allocated a planned-action vector per delta. Once per-tuple
+# evaluation became the only pipeline (batch_size now only caps tuples per
+# shipped frame, so batch 1 runs the same pooled path) and the
+# field-buffer pool was bounded by its largest net draw, the two measure
+# ~3,560 and ~4,460. Budgets carry ~15%
+# headroom over the measured values so noise does not flake CI, while any
+# real per-tuple regression (one alloc per shipped tuple is ~1,300/flap)
+# trips the gate.
 #
 # Usage: scripts/check_alloc_budget.sh [build-dir]
 #   build-dir defaults to build-alloc and must be configured with
@@ -25,13 +31,14 @@ BENCH="$BUILD_DIR/bench_churn"
 SCALEOUT="$BUILD_DIR/bench_scaleout"
 
 # allocs_per_flap ceilings, keyed by benchmark args (nodes/batch).
-BUDGET_24_64=4500
-BUDGET_24_1=15000
+BUDGET_24_64=4100
+BUDGET_24_1=5100
 # Threaded leg (bench_scaleout, nodes=64, threads=4, batch 64): the sharded
 # loop must stay pooled too — worker frame arenas and op logs reach steady
 # state exactly like the shared frame pool. Measured ~2,550 allocs/flap at
 # threads 1, 2, AND 4 (the parallel path adds zero steady-state
-# allocation); ~15% headroom like the serial budgets above.
+# allocation), ~2,340 since the pipeline change above; the budget keeps
+# its original ~15% headroom over the older figure.
 BUDGET_SCALEOUT_64_4=3000
 
 if [[ ! -x "$BENCH" || ! -x "$SCALEOUT" ]]; then

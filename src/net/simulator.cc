@@ -166,7 +166,6 @@ bool Simulator::SendFrame(FrameRef f) {
     } else {
       ls = links_.Find(LinkKey(msg.src, msg.dst));
       if (ls == nullptr || !ls->up) {
-        ++dropped_messages_;  // legacy counter stays link-drops-only
         ++fs.dropped_link;
         ReleaseFrame(f);
         return false;
@@ -744,7 +743,6 @@ const LinkState* Simulator::link(NodeId a, NodeId b) const {
 void Simulator::ResetTrafficStats() {
   for (TrafficStats& ts : channel_traffic_) ts = TrafficStats{};
   links_.ForEach([](uint64_t, LinkState& ls) { ls.traffic = TrafficStats{}; });
-  dropped_messages_ = 0;
   for (ChannelFaultStats& fs : channel_fault_) fs = ChannelFaultStats{};
 }
 

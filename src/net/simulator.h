@@ -68,12 +68,13 @@ struct BatchedTuple {
 /// NetTrails subsystem (rule deltas, provenance queries, BGP updates)
 /// serializes into tuples, so one message type covers the whole platform.
 ///
-/// A batched engine frames all deltas shipped to one destination during one
-/// delta batch into a single message (`batch` non-empty, `payload` unused):
-/// the 17-byte-plus-channel header is paid once per frame instead of once
-/// per tuple, which is the per-tuple framing amortization of the batch
-/// pipeline. Receivers unpack entries in order, so per-destination delta
-/// order is identical to per-tuple shipping.
+/// An engine coalesces the deltas it ships to one destination during one
+/// drain into frames of up to EngineOptions::batch_size tuples (`batch`
+/// non-empty, `payload` unused): the 17-byte-plus-channel header is paid
+/// once per frame instead of once per tuple. A frame holding a single
+/// delta ships in the legacy single-tuple shape instead. Receivers unpack
+/// entries in order, so per-destination delta order is identical to
+/// per-tuple shipping.
 ///
 /// Messages on the hot path live in the simulator's frame pool
 /// (AcquireFrame/SendFrame): the channel is an interned dense id and the
@@ -336,8 +337,10 @@ class Simulator {
   std::map<std::string, TrafficStats> ChannelTrafficByName() const;
   /// Total over all channels.
   TrafficStats total_traffic() const;
-  /// Messages dropped for lack of an up link.
-  uint64_t dropped_messages() const { return dropped_messages_; }
+  /// Messages dropped for lack of an up link, over all channels.
+  uint64_t dropped_messages() const {
+    return total_fault_stats().dropped_link;
+  }
   /// Per-link traffic. Key has a < b.
   const LinkState* link(NodeId a, NodeId b) const;
 
@@ -498,7 +501,6 @@ class Simulator {
   std::atomic<bool> stopped_{false};
   size_t node_count_ = 0;
   uint64_t events_executed_ = 0;
-  uint64_t dropped_messages_ = 0;
   uint64_t schedule_in_past_ = 0;
 
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;

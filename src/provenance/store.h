@@ -63,9 +63,8 @@ class ProvStore {
   /// Canonical text serialization of this node's provenance slice: every
   /// edge and rule execution with its derivation count, sorted. Two stores
   /// hold the same graph iff their canonical forms are equal, independent
-  /// of the order deltas arrived in — the batched-vs-serial equivalence
-  /// suite compares engines through it (and its diff is readable on
-  /// failure).
+  /// of the order deltas arrived in — the frame-size equivalence suite
+  /// compares engines through it (and its diff is readable on failure).
   std::string CanonicalGraph() const;
 
   size_t edge_count() const;

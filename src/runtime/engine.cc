@@ -178,7 +178,9 @@ void Engine::OnTupleMessage(net::Message& msg) {
   // straight from the wire frame into the delta queue (no per-tuple copy;
   // the frame is recycled after we return).
   if (!msg.batch.empty()) {
-    // Batch frame: unpack in order. deltas_enqueued stays per tuple.
+    // Multi-tuple frame: unpack in order. deltas_enqueued stays per tuple.
+    ++stats_.batches_processed;
+    stats_.batched_tuples += msg.batch.size();
     for (net::BatchedTuple& b : msg.batch) {
       EnqueueLocal({b.payload.name(), std::move(b.payload.mutable_fields()),
                     b.multiplicity, b.is_delete});
@@ -193,6 +195,14 @@ void Engine::OnTupleMessage(net::Message& msg) {
 
 void Engine::EnqueueLocal(Delta delta) {
   ++stats_.deltas_enqueued;
+  // Before the FIFO would grow, drop its consumed prefix if that is at
+  // least half of it: storage stays within twice the live peak even in a
+  // drain whose queue never runs empty.
+  if (queue_.size() == queue_.capacity() && queue_head_ * 2 >= queue_.size()) {
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(queue_head_));
+    queue_head_ = 0;
+  }
   queue_.push_back(std::move(delta));
 }
 
@@ -207,207 +217,63 @@ void Engine::DrainQueue() {
   // when other workers hash and allocate concurrently.
   const uint64_t hash_hits_before = Value::ListHashCacheHits();
   const uint64_t allocs_before = AllocCountThisThread();
-  while (!queue_.empty()) {
-    bool serial = opts_.batch_size <= 1;
-    if (!serial) {
-      // Soft-state tables drain serially even in batched mode: FIFO
-      // eviction and expiry-timer bookkeeping are defined against the
-      // per-action store (e.g. an eviction victim re-inserted later in the
-      // same batch must be evicted at its pre-re-insert count), so only
-      // per-delta processing is serial-exact for them. The batching win
-      // lives in the infinite-lifetime protocol and provenance tables.
-      auto it = tables_.find(queue_.front().table);
-      if (it != tables_.end()) {
-        const ndlog::TableInfo& info = it->second.info();
-        serial = info.lifetime_secs >= 0 || info.max_size >= 0;
-      }
+  while (true) {
+    if (queue_head_ == queue_.size()) {
+      queue_.clear();
+      queue_head_ = 0;
+      // Local quiescence: recompute each touched aggregate group once. A
+      // cascade that adjusts a group N times pays one recomputation and
+      // enqueues no intermediate outputs; the outputs refill the queue.
+      if (dirty_aggs_.empty()) break;
+      FlushDirtyAggregates();
+      continue;
     }
-    if (serial) {
-      Delta delta = std::move(queue_.front());
-      queue_.pop_front();
-      ProcessDelta(delta);
-      ReleaseList(std::move(delta.fields));
-    } else {
-      ProcessBatch();
-    }
+    Delta delta = std::move(queue_[queue_head_++]);
+    ProcessDelta(delta);
+    ReleaseList(std::move(delta.fields));
     if (overflowed_) {
       queue_.clear();
+      queue_head_ = 0;
+      DropDirtyAggregates();
       break;
     }
   }
+  FlushOutbox();
   stats_.hash_cache_hits += Value::ListHashCacheHits() - hash_hits_before;
   stats_.vid_intern_hits = vid_interner_.hits();
   stats_.drain_allocs += AllocCountThisThread() - allocs_before;
-  list_pool_bound_ = std::max(list_pool_bound_, lists_acquired_this_drain_);
-  lists_acquired_this_drain_ = 0;
   stats_.pooled_lists = list_pool_.size();
-  stats_.pooled_lists_bound = list_pool_bound_;
+  stats_.pooled_lists_bound = static_cast<uint64_t>(list_pool_bound_);
   draining_ = false;
 }
 
-void Engine::ProcessBatch() {
-  // Form the batch: the run of consecutive same-table deltas at the queue
-  // front (mixed inserts and deletes; runs never reorder the queue, so
-  // cross-table and insert/delete ordering is exactly the serial order).
-  const std::string table_name = queue_.front().table;
-  batch_deltas_.clear();
-  while (!queue_.empty() && batch_deltas_.size() < opts_.batch_size &&
-         queue_.front().table == table_name) {
-    batch_deltas_.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-  }
-  ++stats_.batches_processed;
-  stats_.batched_tuples += batch_deltas_.size();
-  ++stats_.trigger_dispatches;
-
-  auto tit = tables_.find(table_name);
-  if (tit == tables_.end()) {
-    ProcessEventBatch(table_name, &batch_deltas_);
+void Engine::ProcessDelta(Delta& delta) {
+  auto it = tables_.find(delta.table);
+  if (it == tables_.end()) {
+    // Event: fire triggers, register the VID, never store.
+    if (delta.is_delete) return;  // events have no retraction
+    RegisterVid(delta.table, delta.fields);
+    // The action borrows the delta's buffer and hands it back afterwards.
+    TableAction action{std::move(delta.fields), delta.mult,
+                       /*is_delete=*/false};
+    FireTriggers(delta.table, action);
+    delta.fields = std::move(action.fields);
     return;
   }
-  Table& table = tit->second;
 
-  // Plan + apply the whole run through the table in one pass. Evaluation
-  // below runs against the post-batch store; per-action suffix overlays
-  // reconstruct each action's exact serial-mode visibility.
-  batch_reqs_.clear();
-  batch_reqs_.reserve(batch_deltas_.size());
-  for (Delta& d : batch_deltas_) {
-    if (d.is_eviction) --pending_evictions_[table_name];
-    batch_reqs_.push_back({std::move(d.fields), d.mult, d.is_delete});
-  }
-  batch_actions_.Reset();
-  const ActionBuffer& actions = batch_actions_;
-  table.ApplyBatch(batch_reqs_, &batch_actions_);
-  // The requests' field buffers were copied into the store / actions above;
-  // recycle them for the next emitted tuples.
-  for (DeltaRequest& r : batch_reqs_) ReleaseList(std::move(r.fields));
-  if (actions.empty()) return;
-
-  actions_this_trigger_ += actions.size();
-  stats_.actions_processed += actions.size();
-  if (actions_this_trigger_ > opts_.max_actions_per_trigger) {
-    // Valve tripped: skip evaluation, but fall through to the per-tuple
-    // epilogue — the store was already mutated, so observers and the VID
-    // index must still see every applied action (as serial mode does).
-    overflowed_ = true;
-    last_error_ = "max_actions_per_trigger exceeded on " + table_name;
-  } else {
-    batching_ = true;
-    auto trig = prog_->triggers.find(table_name);
-    if (trig != prog_->triggers.end()) {
-      BatchOverlay& suffix = suffix_overlay_;
-      for (const auto& [rule_idx, term_idx] : trig->second) {
-        // The overlay starts as the net effect of the whole batch and
-        // shrinks as evaluation advances: when action i evaluates it holds
-        // the summed effects of actions [i..n).
-        suffix.Clear();
-        for (const TableAction& a : actions) {
-          suffix.Add(a.fields, a.is_delete ? -a.mult : a.mult);
-        }
-        // The store is frozen during evaluation, so which batch-touched
-        // tuples are absent from it (the synthetic-candidate pool) is
-        // computed once per rule pass, not per probe.
-        suffix.absent.clear();
-        for (const BatchOverlay::Entry& e : suffix.slab) {
-          if (table.CountOf(*e.fields) == 0) suffix.absent.push_back(e.fields);
-        }
-        for (const TableAction& a : actions) {
-          EvalRuleWithDelta(rule_idx, term_idx, a, &suffix);
-          if (overflowed_) break;
-          suffix.Add(a.fields, a.is_delete ? a.mult : -a.mult);
-        }
-        if (overflowed_) break;
-      }
-    }
-    FlushDirtyAggregates();
-    batching_ = false;
-  }
-
-  // Per-tuple post-processing in application order: exactly the serial
-  // per-action bookkeeping (observers still see every tuple).
+  Table& table = it->second;
+  if (delta.is_eviction) --pending_evictions_[delta.table];
+  actions_.Reset();
+  table.Plan(delta.fields, delta.mult, delta.is_delete, &actions_);
   // Under the rewrite, its own views (eh_* / prov / ruleExec) are never
   // provenance vertices — the graph references program-tuple VIDs and
   // RIDs, both digested by f_mkvid/f_mkrid — so their rows skip VID
   // registration. Gated on prog_->provenance: without the rewrite those
   // names are ordinary user tables.
   const bool track_vids =
-      !(prog_->provenance && provenance::IsProvenancePredicate(table_name));
-  if (IsProvenanceView(table_name)) provenance_version_ += actions.size();
-  for (const TableAction& action : actions) {
-    if (track_vids && !action.is_delete) {
-      RegisterVid(table_name, action.fields);
-    }
-    for (const ActionObserver& obs : observers_) obs(table_name, action);
-    if (!action.is_delete) HandleSoftState(table, action);
-  }
-  FlushOutbox();
-}
-
-void Engine::ProcessEventBatch(const std::string& name,
-                               std::vector<Delta>* deltas) {
-  // Events fire triggers and register VIDs but are never stored; retraction
-  // deltas are dropped (as in serial mode). Event predicates cannot appear
-  // as non-delta body atoms, so no overlay is needed.
-  batch_actions_.Reset();
-  const ActionBuffer& actions = batch_actions_;
-  for (Delta& d : *deltas) {
-    if (d.is_delete) continue;
-    RegisterVid(name, d.fields);
-    TableAction& a = batch_actions_.Append();
-    a.fields = d.fields;  // copy into the slot's recycled buffer
-    a.mult = d.mult;
-    a.is_delete = false;
-    ReleaseList(std::move(d.fields));
-  }
-  if (actions.empty()) return;
-
-  actions_this_trigger_ += actions.size();
-  stats_.actions_processed += actions.size();
-  if (actions_this_trigger_ > opts_.max_actions_per_trigger) {
-    overflowed_ = true;
-    last_error_ = "max_actions_per_trigger exceeded on " + name;
-    return;
-  }
-
-  batching_ = true;
-  auto trig = prog_->triggers.find(name);
-  if (trig != prog_->triggers.end()) {
-    for (const auto& [rule_idx, term_idx] : trig->second) {
-      for (const TableAction& a : actions) {
-        EvalRuleWithDelta(rule_idx, term_idx, a, /*suffix=*/nullptr);
-        if (overflowed_) break;
-      }
-      if (overflowed_) break;
-    }
-  }
-  FlushDirtyAggregates();
-  batching_ = false;
-  FlushOutbox();
-}
-
-void Engine::ProcessDelta(const Delta& delta) {
-  auto it = tables_.find(delta.table);
-  if (it == tables_.end()) {
-    // Event: fire triggers, register the VID, never store.
-    if (delta.is_delete) return;  // events have no retraction
-    RegisterVid(delta.table, delta.fields);
-    TableAction action{delta.fields, delta.mult, /*is_delete=*/false};
-    FireTriggers(delta.table, action);
-    return;
-  }
-
-  Table& table = it->second;
-  if (delta.is_eviction) --pending_evictions_[delta.table];
-  std::vector<TableAction> actions =
-      delta.is_delete ? table.PlanDelete(delta.fields, delta.mult)
-                      : table.PlanInsert(delta.fields, delta.mult);
-  // See ProcessBatch: under the rewrite, its own views never need VID
-  // registration.
-  const bool track_vids =
       !(prog_->provenance && provenance::IsProvenancePredicate(delta.table));
-  if (IsProvenanceView(delta.table)) provenance_version_ += actions.size();
-  for (const TableAction& action : actions) {
+  if (IsProvenanceView(delta.table)) provenance_version_ += actions_.size();
+  for (const TableAction& action : actions_) {
     // Rules see the pre-action store; atoms positioned before the delta
     // atom adjust by the action's effect (exact semi-naive maintenance).
     FireTriggers(delta.table, action);
@@ -487,7 +353,7 @@ void Engine::FireTriggers(const std::string& pred, const TableAction& action) {
   auto it = prog_->triggers.find(pred);
   if (it == prog_->triggers.end()) return;
   for (const auto& [rule_idx, term_idx] : it->second) {
-    EvalRuleWithDelta(rule_idx, term_idx, action, /*suffix=*/nullptr);
+    EvalRuleWithDelta(rule_idx, term_idx, action);
   }
 }
 
@@ -517,8 +383,7 @@ bool Engine::MatchAtom(const CompiledAtom& atom, const ValueList& fields,
 }
 
 void Engine::EvalRuleWithDelta(size_t rule_idx, size_t delta_term,
-                               const TableAction& action,
-                               const BatchOverlay* suffix) {
+                               const TableAction& action) {
   const CompiledRule& cr = prog_->rules[rule_idx];
   const CompiledAtom& delta_atom = cr.body[delta_term].atom;
   frame_.Reset(cr.slots.size());
@@ -531,22 +396,20 @@ void Engine::EvalRuleWithDelta(size_t rule_idx, size_t delta_term,
     auto pit = cr.join_plans.find(delta_term);
     if (pit != cr.join_plans.end()) plans = &pit->second;
   }
-  JoinRec(cr, rule_idx, 0, delta_term, plans, action, suffix, &frame_,
-          action.mult);
+  JoinRec(cr, rule_idx, 0, delta_term, plans, action, &frame_, action.mult);
 }
 
 void Engine::JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
                      size_t delta_term, const std::vector<AtomProbePlan>* plans,
-                     const TableAction& action, const BatchOverlay* suffix,
-                     Frame* frame, int64_t mult) {
+                     const TableAction& action, Frame* frame, int64_t mult) {
   if (overflowed_) return;
   if (term_idx == cr.rule.body.size()) {
     EmitHead(cr, rule_idx, *frame, mult, action.is_delete);
     return;
   }
   if (term_idx == delta_term) {
-    JoinRec(cr, rule_idx, term_idx + 1, delta_term, plans, action, suffix,
-            frame, mult);
+    JoinRec(cr, rule_idx, term_idx + 1, delta_term, plans, action, frame,
+            mult);
     return;
   }
   const CompiledTerm& term = cr.body[term_idx];
@@ -564,16 +427,13 @@ void Engine::JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
                   std::get<Atom>(cr.rule.body[delta_term]).predicate;
     const bool before_delta = term_idx < delta_term;
 
-    // Semi-naive visibility for self-join atoms. Serial mode: the store is
-    // pre-action, so atoms before the delta position (which must see the
-    // post-action state) adjust matches of the action tuple itself. Batched
-    // mode: the store is post-batch, so matches of any tuple the batch
-    // touched subtract the suffix overlay (the summed effects of this and
-    // all later actions), which reconstructs the pre-action store; atoms
-    // before the delta add the action's own effect back on top.
-    bool synthetic_needed = suffix == nullptr && before_delta && same_pred &&
-                            !action.is_delete &&
-                            table.CountOf(action.fields) == 0;
+    // Semi-naive visibility for self-join atoms: the store is pre-action,
+    // so atoms before the delta position (which must see the post-action
+    // state) adjust matches of the action tuple itself — and an inserted
+    // tuple not yet in the store is joined as an extra candidate.
+    const bool synthetic_needed = before_delta && same_pred &&
+                                  !action.is_delete &&
+                                  table.CountOf(action.fields) == 0;
 
     // One candidate row, shared by the probe and scan paths. The shared
     // undo stack (restored to the saved mark after each candidate — one bit
@@ -582,7 +442,6 @@ void Engine::JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
     auto consider = [&](const ValueList& fields, int64_t count) {
       ++stats_.join_probes;
       if (same_pred) {
-        if (suffix != nullptr) count -= suffix->Net(fields);
         if (before_delta && fields == action.fields) {
           count += action.is_delete ? -action.mult : action.mult;
         }
@@ -590,8 +449,8 @@ void Engine::JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
       }
       const size_t mark = undo_stack_.size();
       if (MatchAtom(atom, fields, frame, &undo_stack_)) {
-        JoinRec(cr, rule_idx, term_idx + 1, delta_term, plans, action, suffix,
-                frame, mult * count);
+        JoinRec(cr, rule_idx, term_idx + 1, delta_term, plans, action, frame,
+                mult * count);
         while (undo_stack_.size() > mark) {
           frame->Unset(undo_stack_.back());
           undo_stack_.pop_back();
@@ -645,19 +504,11 @@ void Engine::JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
         consider(row.fields, row.count);
       }
     }
-    if (same_pred && suffix != nullptr) {
-      // Synthetic candidates: tuples this batch touched that are absent
-      // from the post-batch store (inserted then displaced, or deleted by a
-      // later action) but visible to this action's serial-mode evaluation.
-      // `consider` re-applies the overlay, so pass a zero store count.
-      for (const ValueList* fields : suffix->absent) {
-        consider(*fields, 0);
-      }
-    } else if (synthetic_needed) {
+    if (synthetic_needed) {
       const size_t mark = undo_stack_.size();
       if (MatchAtom(atom, action.fields, frame, &undo_stack_)) {
-        JoinRec(cr, rule_idx, term_idx + 1, delta_term, plans, action, suffix,
-                frame, mult * action.mult);
+        JoinRec(cr, rule_idx, term_idx + 1, delta_term, plans, action, frame,
+                mult * action.mult);
         while (undo_stack_.size() > mark) {
           frame->Unset(undo_stack_.back());
           undo_stack_.pop_back();
@@ -674,8 +525,8 @@ void Engine::JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
     }
     if (frame->IsBound(term.assign_slot)) return;  // rebinding conflict: prune
     frame->Set(term.assign_slot, std::move(v).value());
-    JoinRec(cr, rule_idx, term_idx + 1, delta_term, plans, action, suffix,
-            frame, mult);
+    JoinRec(cr, rule_idx, term_idx + 1, delta_term, plans, action, frame,
+            mult);
     frame->Unset(term.assign_slot);
     return;
   }
@@ -685,8 +536,8 @@ void Engine::JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
     return;
   }
   if (v.value().Truthy()) {
-    JoinRec(cr, rule_idx, term_idx + 1, delta_term, plans, action, suffix,
-            frame, mult);
+    JoinRec(cr, rule_idx, term_idx + 1, delta_term, plans, action, frame,
+            mult);
   }
 }
 
@@ -731,57 +582,56 @@ void Engine::EmitHead(const CompiledRule& cr, size_t rule_idx,
 void Engine::ShipRemote(NodeId dst, Tuple tuple, int64_t mult,
                         bool is_delete) {
   if (suppress_shipping_) return;
-  if (batching_) {
-    // Per-destination buffering happens directly in a pooled simulator
-    // frame: the batch entry is built in place in the frame's arena, so
-    // nothing is copied again at flush time.
-    uint32_t& slot = outbox_[dst];
-    if (slot == 0) {
-      net::Simulator::FrameRef f = sim_->AcquireFrame();
-      net::Message& m = sim_->FrameMessage(f);
-      m.src = id_;
-      m.dst = dst;
-      m.channel = tuple_channel_;
-      slot = f + 1;
-      outbox_order_.push_back(dst);
-    }
-    sim_->FrameMessage(slot - 1).batch.push_back(
-        {std::move(tuple), is_delete, mult});
-    return;
+  // Per-destination buffering happens directly in a pooled simulator
+  // frame: the entry is built in place in the frame's arena, so nothing is
+  // copied again at send time.
+  uint32_t& slot = outbox_[dst];
+  if (slot == 0) {
+    net::Simulator::FrameRef f = sim_->AcquireFrame();
+    net::Message& m = sim_->FrameMessage(f);
+    m.src = id_;
+    m.dst = dst;
+    m.channel = tuple_channel_;
+    slot = f + 1;
+    outbox_order_.push_back(dst);
   }
-  net::Simulator::FrameRef f = sim_->AcquireFrame();
-  net::Message& m = sim_->FrameMessage(f);
-  m.src = id_;
-  m.dst = dst;
-  m.channel = tuple_channel_;
-  m.payload = std::move(tuple);
-  m.is_delete = is_delete;
-  m.multiplicity = mult;
+  const net::Simulator::FrameRef f = slot - 1;
+  std::vector<net::BatchedTuple>& batch = sim_->FrameMessage(f).batch;
+  batch.push_back({std::move(tuple), is_delete, mult});
+  if (batch.size() >= std::max<uint32_t>(opts_.batch_size, 1)) {
+    outbox_.Erase(dst);  // a later delta for dst opens a fresh frame
+    SendOutboxFrame(f);
+  }
+}
+
+void Engine::SendOutboxFrame(net::Simulator::FrameRef f) {
+  net::Message& msg = sim_->FrameMessage(f);
+  const size_t n = msg.batch.size();
+  if (n == 1) {
+    // A lone delta ships as the legacy single-tuple frame (its wire size
+    // is smaller than a one-entry batch).
+    msg.payload = std::move(msg.batch[0].payload);
+    msg.is_delete = msg.batch[0].is_delete;
+    msg.multiplicity = msg.batch[0].multiplicity;
+    msg.batch.clear();
+  } else {
+    ++stats_.batch_messages_sent;
+  }
   ++stats_.messages_sent;
-  ++stats_.tuples_shipped;
-  if (!sim_->SendFrame(f)) ++stats_.send_failures;
+  stats_.tuples_shipped += n;
+  if (!sim_->SendFrame(f)) stats_.send_failures += n;
 }
 
 void Engine::FlushOutbox() {
+  // outbox_order_ may name a destination twice (its frame filled and a new
+  // one opened); the first visit sends and erases the open frame.
   for (NodeId dst : outbox_order_) {
-    net::Simulator::FrameRef f = *outbox_.Find(dst) - 1;
-    net::Message& msg = sim_->FrameMessage(f);
-    const size_t n = msg.batch.size();
-    if (n == 1) {
-      // Single delta: ship the legacy frame (identical wire size to serial
-      // mode).
-      msg.payload = std::move(msg.batch[0].payload);
-      msg.is_delete = msg.batch[0].is_delete;
-      msg.multiplicity = msg.batch[0].multiplicity;
-      msg.batch.clear();
-    } else {
-      ++stats_.batch_messages_sent;
-    }
-    ++stats_.messages_sent;
-    stats_.tuples_shipped += n;
-    if (!sim_->SendFrame(f)) stats_.send_failures += n;
+    const uint32_t* slot = outbox_.Find(dst);
+    if (slot == nullptr) continue;
+    const net::Simulator::FrameRef f = *slot - 1;
+    outbox_.Erase(dst);
+    SendOutboxFrame(f);
   }
-  outbox_.Clear();
   outbox_order_.clear();
 }
 
@@ -841,20 +691,14 @@ void Engine::HandleAggContribution(const CompiledRule& cr, size_t rule_idx,
   }
   AggGroupState& state = it->second;
   state.group.Adjust(agg_value, vids, is_delete ? -mult : mult);
-  if (batching_) {
-    // Defer: the batch recomputes each touched group's output once, so a
-    // cascade that adjusts a group N times pays one recomputation (and
-    // enqueues no intermediate outputs — the fixpoint is unchanged, only
-    // the transient churn). The per-state flag replaces a keyed dirty set:
-    // states are unique per (rule, group), so marking the state is
-    // equivalent and skips the group-key copy.
-    if (!state.dirty) {
-      state.dirty = true;
-      dirty_aggs_.push_back({rule_idx, &it->first.second, &state});
-    }
-    return;
+  // Defer the output to the next local quiescence (see DrainQueue). The
+  // per-state flag replaces a keyed dirty set: states are unique per
+  // (rule, group), so marking the state is equivalent and skips the
+  // group-key copy.
+  if (!state.dirty) {
+    state.dirty = true;
+    dirty_aggs_.push_back({rule_idx, &it->first.second, &state});
   }
-  RecomputeAggGroup(cr, it->first.second, &state);
 }
 
 void Engine::FlushDirtyAggregates() {
@@ -862,6 +706,11 @@ void Engine::FlushDirtyAggregates() {
     d.state->dirty = false;
     RecomputeAggGroup(prog_->rules[d.rule_idx], *d.group, d.state);
   }
+  dirty_aggs_.clear();
+}
+
+void Engine::DropDirtyAggregates() {
+  for (const DirtyAgg& d : dirty_aggs_) d.state->dirty = false;
   dirty_aggs_.clear();
 }
 
@@ -1062,6 +911,8 @@ EngineCheckpoint Engine::TakeCheckpoint() const {
 void Engine::HaltForCrash() {
   ++restart_epoch_;  // every armed timer closure becomes a no-op
   queue_.clear();
+  queue_head_ = 0;
+  DropDirtyAggregates();
   draining_ = false;
   overflowed_ = false;
   last_error_.clear();
@@ -1070,11 +921,11 @@ void Engine::HaltForCrash() {
 void Engine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   ++restart_epoch_;
   queue_.clear();
+  queue_head_ = 0;
   draining_ = false;
-  batching_ = false;
   overflowed_ = false;
   last_error_.clear();
-  dirty_aggs_.clear();
+  DropDirtyAggregates();
   outbox_.Clear();
   outbox_order_.clear();
   // The restored provenance slice is a different graph from the one the
@@ -1092,9 +943,9 @@ void Engine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
     if (it == tables_.end()) continue;
     Table& table = it->second;
     for (const EngineCheckpoint::TableRow& row : rows) {
-      for (const TableAction& a : table.PlanInsert(row.fields, row.count)) {
-        table.Apply(a);
-      }
+      actions_.Reset();
+      table.Plan(row.fields, row.count, /*is_delete=*/false, &actions_);
+      for (const TableAction& a : actions_) table.Apply(a);
     }
   }
 

@@ -42,15 +42,14 @@ struct EngineOptions {
   /// provenance store reads through them); off is only useful for measuring
   /// the join speedup (bench_join), and results are identical.
   bool use_secondary_indexes = true;
-  /// Maximum tuples drained from the local queue into one DeltaBatch (a run
-  /// of consecutive same-table deltas processed together: one trigger
-  /// dispatch, one Table::ApplyBatch, one aggregate recomputation per
-  /// touched group, and per-destination batch message frames). 1 selects
-  /// the serial pre-batching pipeline exactly — per-tuple dispatch,
-  /// immediate aggregate recomputation, per-tuple shipping — and anchors
-  /// the batched-vs-serial equivalence suite
-  /// (tests/runtime/batch_equivalence_test.cc). Both modes converge to
-  /// identical table fixpoints, aggregate values, and provenance graphs.
+  /// Most tuple deltas coalesced into one outbound frame. Every remote
+  /// delta goes into a per-destination outbox; a frame ships as soon as it
+  /// holds batch_size tuples, and the rest ship when the top-level drain
+  /// ends. 1 (or 0) ships every delta at once in its own single-tuple
+  /// frame — the per-tuple wire traffic. Evaluation itself is per-tuple at
+  /// every setting, so every batch_size converges to identical table
+  /// fixpoints, aggregate values, and provenance graphs
+  /// (tests/runtime/batch_equivalence_test.cc).
   uint32_t batch_size = 64;
 };
 
@@ -59,11 +58,12 @@ struct EngineStats {
   /// batch frames arriving from the network are unpacked before counting —
   /// so the value is batch_size-independent.
   uint64_t deltas_enqueued = 0;
-  uint64_t batches_processed = 0;  // DeltaBatches drained (batched mode)
-  uint64_t batched_tuples = 0;     // tuples those batches carried
-  /// Trigger-index dispatches: one per visible action in serial mode, one
-  /// per DeltaBatch in batched mode (the dispatch-amortization metric
-  /// bench_churn reports per converged link flap).
+  /// Multi-tuple frames this engine received and unpacked, and the tuples
+  /// they carried (single-tuple frames count in neither).
+  uint64_t batches_processed = 0;
+  uint64_t batched_tuples = 0;
+  /// Trigger-index dispatches: one per visible table action (and per
+  /// event), whatever batch_size is.
   uint64_t trigger_dispatches = 0;
   uint64_t actions_processed = 0;
   uint64_t rule_firings = 0;
@@ -73,10 +73,10 @@ struct EngineStats {
   uint64_t broadcast_probes = 0;  // planned whole-table joins (only the
                                   // location was bound: every row matches)
   uint64_t index_scan_fallbacks = 0;  // unplanned scans (no probe plan)
-  uint64_t messages_sent = 0;     // network sends (a batch frame counts once)
+  uint64_t messages_sent = 0;     // network sends (a frame counts once)
   uint64_t tuples_shipped = 0;    // tuple deltas shipped to remote nodes
   uint64_t batch_messages_sent = 0;  // frames carrying more than one tuple
-  uint64_t send_failures = 0;     // per shipped tuple, batched or not
+  uint64_t send_failures = 0;     // per shipped tuple, framed or not
   uint64_t eval_errors = 0;
   uint64_t expirations = 0;      // soft-state lifetime retractions
   uint64_t evictions = 0;        // max-size FIFO evictions
@@ -100,7 +100,8 @@ struct EngineStats {
   uint64_t drain_allocs = 0;
   /// Gauges, refreshed at the end of every top-level drain: field buffers
   /// held in this engine's ValueList pool, and the pool's bound — the most
-  /// lists this engine has acquired within one drain.
+  /// lists this engine has needed on hand at once (the largest rise of
+  /// lists acquired minus lists returned over an earlier low).
   uint64_t pooled_lists = 0;
   uint64_t pooled_lists_bound = 0;
 };
@@ -271,72 +272,26 @@ class Engine {
     bool is_eviction = false;  // decrement the pending-eviction counter
   };
 
-  /// Net per-tuple count adjustments carried by a suffix of a batch's
-  /// actions, with first-touch enumeration order for determinism. During
-  /// batched evaluation of action i the overlay holds the summed effects of
-  /// actions [i..n): subtracting it from the post-batch store reconstructs
-  /// exactly the store action i saw in serial mode. Entries are kept at
-  /// net 0 so every tuple the batch touches stays enumerable (the
-  /// synthetic-candidate sweep in JoinRec relies on it).
-  ///
-  /// Storage is a slab (first-touch order — the old `order` vector) plus a
-  /// flat content-hash index with explicit collision chains; entries hold
-  /// pointers into the batch's TableActions (stable for the whole batch)
-  /// instead of ValueList copies, so refilling the overlay each rule pass
-  /// allocates nothing once the slab has grown to batch size.
-  struct BatchOverlay {
-    struct Entry {
-      const ValueList* fields;
-      int64_t net;
-      int32_t next;  // same-hash chain, slab index + 1; 0 terminates
-    };
-    std::vector<Entry> slab;       // first-touch order
-    FlatHashMap64<int32_t> heads;  // content hash -> slab index + 1
-    /// Subset of `slab` absent from the post-batch store: the synthetic
-    /// join candidates. The store is frozen during batch evaluation, so
-    /// ProcessBatch computes this once per rule pass.
-    std::vector<const ValueList*> absent;
-
-    void Add(const ValueList& fields, int64_t delta) {
-      int32_t& head = heads[ValueListHash{}(fields)];
-      for (int32_t i = head; i != 0; i = slab[i - 1].next) {
-        Entry& e = slab[i - 1];
-        if (ValueListEq{}(*e.fields, fields)) {
-          e.net += delta;
-          return;
-        }
-      }
-      slab.push_back({&fields, delta, head});
-      head = static_cast<int32_t>(slab.size());
-    }
-    int64_t Net(const ValueList& fields) const {
-      const int32_t* head = heads.Find(ValueListHash{}(fields));
-      for (int32_t i = head == nullptr ? 0 : *head; i != 0;
-           i = slab[i - 1].next) {
-        const Entry& e = slab[i - 1];
-        if (ValueListEq{}(*e.fields, fields)) return e.net;
-      }
-      return 0;
-    }
-    void Clear() {
-      slab.clear();
-      heads.Clear();
-      absent.clear();
-    }
-  };
-
   void OnTupleMessage(net::Message& msg);
   void EnqueueLocal(Delta delta);
 
   /// ValueList recycling pool for the delta pipeline. Field buffers flow
-  /// emit -> queue -> batch -> harvest-back-to-pool, so a converged flap's
+  /// emit -> queue -> process -> back-to-pool, so a converged flap's
   /// tuple churn reuses the same allocations instead of paying one
   /// malloc/free pair per derived tuple. Shipped tuples carry their buffers
   /// from the sender's pool into the receiver's and none ever flow back, so
-  /// the pool keeps at most as many lists as this engine has acquired
-  /// within one drain (the current one included) and frees the rest.
+  /// the pool is bounded by the most lists this engine has ever needed on
+  /// hand at once: the largest rise of its running net draw (lists acquired
+  /// minus lists returned) over an earlier low. Lists returned past the
+  /// bound are freed. A pool that size serves any stretch of work no more
+  /// demanding than one already seen without allocating, while a net
+  /// receiver, whose draw mostly falls as it returns unpacked wire buffers,
+  /// keeps only what its own bursts of derivation and shipping need.
+  /// (Bounding by the lists acquired within one drain instead lets a
+  /// receiver hoard lists in proportion to the frames it unpacks.)
   ValueList AcquireList() {
-    ++lists_acquired_this_drain_;
+    ++lists_drawn_;
+    list_pool_bound_ = std::max(list_pool_bound_, lists_drawn_ - lists_low_);
     if (list_pool_.empty()) return ValueList();
     ValueList out = std::move(list_pool_.back());
     list_pool_.pop_back();
@@ -344,8 +299,8 @@ class Engine {
     return out;
   }
   void ReleaseList(ValueList&& v) {
-    if (list_pool_.size() <
-        std::max(list_pool_bound_, lists_acquired_this_drain_)) {
+    lists_low_ = std::min(lists_low_, --lists_drawn_);
+    if (static_cast<int64_t>(list_pool_.size()) < list_pool_bound_) {
       list_pool_.push_back(std::move(v));
     } else {
       ValueList().swap(v);  // free now: the caller's list may outlive this call
@@ -357,33 +312,29 @@ class Engine {
     out = src;
     return out;
   }
+  /// Runs the local queue to quiescence: per-tuple semi-naive evaluation,
+  /// with touched aggregate groups recomputed each time the queue runs
+  /// empty, and the outbox flushed when the top-level drain ends.
   void DrainQueue();
-  void ProcessDelta(const Delta& delta);
+  /// Plans, evaluates and applies one delta. Takes the delta mutably only
+  /// to lend an event's fields to the trigger without copying them.
+  void ProcessDelta(Delta& delta);
   /// Shared core of DropRemoteDerivations / DropDerivationsFrom: retracts
   /// prov rows (and their targets) grounded at any remote node
   /// (`any_remote`) or at `origin` specifically, cascading locally;
   /// outbound deltas ship only when `ship_retractions`.
   void ScrubGroundedRows(bool any_remote, NodeId origin,
                          bool ship_retractions);
-  /// Batched pipeline: drains a run of consecutive same-table deltas from
-  /// the queue front and processes them as one DeltaBatch (one-pass
-  /// ApplyBatch, rule-major evaluation under suffix overlays, one aggregate
-  /// recomputation per touched group, per-destination batch shipping).
-  void ProcessBatch();
-  void ProcessEventBatch(const std::string& name, std::vector<Delta>* deltas);
   void FireTriggers(const std::string& pred, const TableAction& action);
   /// Joins the rule body around the delta atom; `action` is the visible
-  /// change that seeded the evaluation. `suffix` is the batch overlay for
-  /// this action (nullptr in serial mode and for event deltas).
+  /// change that seeded the evaluation.
   void EvalRuleWithDelta(size_t rule_idx, size_t delta_term,
-                         const TableAction& action,
-                         const BatchOverlay* suffix);
+                         const TableAction& action);
   /// `plans` is the per-body-term probe plan for this (rule, delta_term)
   /// choice, or nullptr to scan every atom.
   void JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
                size_t delta_term, const std::vector<AtomProbePlan>* plans,
-               const TableAction& action, const BatchOverlay* suffix,
-               Frame* frame, int64_t mult);
+               const TableAction& action, Frame* frame, int64_t mult);
   /// Matches `fields` against the lowered atom pattern, binding previously
   /// unbound frame slots. On success the newly bound slots are appended to
   /// `added` (the caller's undo log: Unset them to restore the frame — an
@@ -393,10 +344,14 @@ class Engine {
                  Frame* frame, std::vector<int>* added) const;
   void EmitHead(const CompiledRule& cr, size_t rule_idx, const Frame& frame,
                 int64_t mult, bool is_delete);
-  /// Ships one tuple delta to a remote node: immediately in serial mode,
-  /// buffered into the per-destination outbox during batch processing.
+  /// Appends one tuple delta to `dst`'s outbox frame, sending the frame
+  /// once it holds batch_size tuples.
   void ShipRemote(NodeId dst, Tuple tuple, int64_t mult, bool is_delete);
-  /// Sends each destination's buffered deltas as one batch frame.
+  /// Sends one outbox frame: a lone delta in the legacy single-tuple shape,
+  /// more as a multi-tuple frame.
+  void SendOutboxFrame(net::Simulator::FrameRef f);
+  /// Sends every destination's partly filled frame (end of a top-level
+  /// drain).
   void FlushOutbox();
   void HandleAggContribution(const CompiledRule& cr, size_t rule_idx,
                              const Frame& frame, int64_t mult,
@@ -404,9 +359,12 @@ class Engine {
   struct AggGroupState;
   void RecomputeAggGroup(const CompiledRule& cr, const ValueList& group_key,
                          AggGroupState* state);
-  /// Recomputes (once each) the aggregate groups touched by the current
-  /// batch, in first-touch order.
+  /// Recomputes (once each) the aggregate groups touched since the queue
+  /// last ran empty, in first-touch order.
   void FlushDirtyAggregates();
+  /// Forgets the touched groups without recomputing them (overflow, crash,
+  /// restore).
+  void DropDirtyAggregates();
   /// Interns the tuple's VID and indexes the tuple on first sight. Takes
   /// (name, fields) so repeat registrations (every re-derivation) skip the
   /// Tuple construction entirely — the VID digest itself reuses cached list
@@ -447,7 +405,11 @@ class Engine {
   /// member because rule evaluation never nests: derived heads are
   /// enqueued, not evaluated inline, and drains do not re-enter.
   Frame frame_;
-  std::deque<Delta> queue_;
+  /// The local delta FIFO: a vector consumed from `queue_head_`, reset when
+  /// it runs empty, so its storage is reused across drains instead of
+  /// allocating and freeing deque blocks.
+  std::vector<Delta> queue_;
+  size_t queue_head_ = 0;
   bool draining_ = false;
   /// True while a scrub cascade runs with shipping suppressed (see
   /// DropRemoteDerivations); checked at the top of ShipRemote.
@@ -461,7 +423,7 @@ class Engine {
 
   struct AggGroupState {
     AggGroup group;
-    bool dirty = false;  // already on dirty_aggs_ for the current batch
+    bool dirty = false;  // already on dirty_aggs_
     bool has_output = false;
     ValueList last_output;
     std::vector<Tuple> last_prov;  // emitted prov + ruleExec tuples
@@ -490,10 +452,6 @@ class Engine {
                      AggKeyEq>
       agg_state_;
 
-  // Batch-scoped state: true while a DeltaBatch is being evaluated (routes
-  // remote shipping into the outbox and aggregate recomputation into the
-  // dirty set).
-  bool batching_ = false;
   /// Touched aggregate groups in first-touch order. Group key and state
   /// live in agg_state_ nodes (stable — the map never erases), so the dirty
   /// list carries pointers, not ValueList copies.
@@ -504,24 +462,21 @@ class Engine {
   };
   std::vector<DirtyAgg> dirty_aggs_;
   std::vector<NodeId> outbox_order_;  // destinations, first-use order
-  /// dst -> simulator frame ref + 1 (0 = none). Batch entries are built in
-  /// place in the pooled frame's Message::batch, so per-destination
-  /// buffering allocates nothing once frames have warmed up.
+  /// dst -> simulator frame ref + 1 of its open frame (absent = none).
+  /// Entries are built in place in the pooled frame's Message::batch, so
+  /// per-destination buffering allocates nothing once frames have warmed
+  /// up.
   FlatHashMap64<uint32_t> outbox_;
 
-  // Drain-scoped scratch buffers (reused across batches so a converged
-  // drain allocates nothing): the current batch's deltas / table requests /
-  // applied actions, the shared frame-undo stack for MatchAtom (callers
-  // restore to their saved mark — safe across JoinRec recursion), the
-  // secondary-index probe key, the per-rule-pass suffix overlay, and the
-  // aggregate lookup key (find-before-emplace keeps the hit path free of
-  // pair<rule, group> copies).
-  std::vector<Delta> batch_deltas_;
-  std::vector<DeltaRequest> batch_reqs_;
-  ActionBuffer batch_actions_;
+  // Drain-scoped scratch buffers (reused across deltas so a converged
+  // drain allocates nothing): the current delta's planned actions, the
+  // shared frame-undo stack for MatchAtom (callers restore to their saved
+  // mark — safe across JoinRec recursion), the secondary-index probe key,
+  // and the aggregate lookup key (find-before-emplace keeps the hit path
+  // free of pair<rule, group> copies).
+  ActionBuffer actions_;
   std::vector<int> undo_stack_;
   ValueList probe_key_;
-  BatchOverlay suffix_overlay_;
   std::pair<size_t, ValueList> agg_key_scratch_;
   ValueList agg_vid_scratch_;
   /// Recompute scratch: winners, their raw VIDs, and the desired-provenance
@@ -531,10 +486,12 @@ class Engine {
   std::vector<Vid> winner_vids_scratch_;
   std::vector<Tuple> agg_prov_scratch_;
   std::vector<ValueList> list_pool_;
-  /// Lists acquired since the last top-level drain ended, and the most any
-  /// drain has acquired (the pool's bound).
-  size_t lists_acquired_this_drain_ = 0;
-  size_t list_pool_bound_ = 0;
+  /// Running net draw on the pool (acquired minus returned; it falls below
+  /// zero as unpacked wire buffers are returned), its lowest value so far,
+  /// and its largest rise over an earlier low (the pool's bound).
+  int64_t lists_drawn_ = 0;
+  int64_t lists_low_ = 0;
+  int64_t list_pool_bound_ = 0;
 
   // Soft state: per-key insertion generation (a re-insertion refreshes the
   // expiry timer and invalidates stale timers), the absolute expiry

@@ -60,9 +60,9 @@ struct AtomProbePlan {
   /// neighbors"), as opposed to an unplanned scan fallback.
   bool broadcast = false;
   /// This atom's predicate equals the delta atom's predicate (a self-join).
-  /// The engine's semi-naive visibility adjustments — and, in batched mode,
-  /// the per-batch overlay — apply only to such atoms; precomputing the
-  /// flag removes a per-probe string comparison from the join loop.
+  /// The engine's semi-naive visibility adjustments apply only to such
+  /// atoms; precomputing the flag removes a per-probe string comparison
+  /// from the join loop.
   bool same_pred_as_delta = false;
 };
 

@@ -66,33 +66,30 @@ ValueList Table::Project(const std::vector<int>& positions,
   return key;
 }
 
-std::vector<TableAction> Table::PlanInsert(const ValueList& fields,
-                                           int64_t mult) const {
+void Table::Plan(const ValueList& fields, int64_t mult, bool is_delete,
+                 ActionBuffer* out) {
   assert(mult > 0);
-  std::vector<TableAction> actions;
+  // Each append copy-assigns into the slot's retained buffer.
+  auto emit = [out](const ValueList& f, int64_t m, bool del) {
+    TableAction& a = out->Append();
+    a.fields = f;
+    a.mult = m;
+    a.is_delete = del;
+  };
   const Row* row = FindByKeyOf(fields);
-  if (row == nullptr || row->fields == fields) {
-    actions.push_back({fields, mult, /*is_delete=*/false});
-    return actions;
+  if (is_delete) {
+    if (row == nullptr || row->fields != fields) {
+      ++spurious_deletes_;
+      return;
+    }
+    emit(fields, std::min(mult, row->count), /*del=*/true);
+    return;
   }
   // Key replacement: retract the displaced tuple entirely, then insert.
-  actions.push_back({row->fields, row->count, /*is_delete=*/true});
-  actions.push_back({fields, mult, /*is_delete=*/false});
-  return actions;
-}
-
-std::vector<TableAction> Table::PlanDelete(const ValueList& fields,
-                                           int64_t mult) {
-  assert(mult > 0);
-  std::vector<TableAction> actions;
-  const Row* row = FindByKeyOf(fields);
-  if (row == nullptr || row->fields != fields) {
-    ++spurious_deletes_;
-    return actions;
+  if (row != nullptr && row->fields != fields) {
+    emit(row->fields, row->count, /*del=*/true);
   }
-  int64_t m = std::min(mult, row->count);
-  if (m > 0) actions.push_back({fields, m, /*is_delete=*/true});
-  return actions;
+  emit(fields, mult, /*del=*/false);
 }
 
 uint32_t Table::FindSlotIdx(uint64_t hash, const ValueList& fields) const {
@@ -176,85 +173,13 @@ void Table::Apply(const TableAction& action) {
     return;
   }
   if (i != kNil) {
-    // PlanInsert issues the displacement delete first, so by the time an
+    // Plan issues the displacement delete first, so by the time an
     // insert lands here the stored fields match (or the row was erased).
     assert(slots_[i].row.fields == action.fields);
     slots_[i].row.count += action.mult;
     return;
   }
   InsertNewRow(hash, action.fields, action.mult);
-}
-
-namespace {
-
-/// ApplyBatchImpl sinks: both copy-assign the action fields so an
-/// ActionBuffer slot's retained capacity is reused (a brace-constructed
-/// push_back would build a fresh ValueList either way).
-struct VectorActionSink {
-  std::vector<TableAction>* v;
-  TableAction& Append() {
-    v->emplace_back();
-    return v->back();
-  }
-};
-struct BufferActionSink {
-  ActionBuffer* b;
-  TableAction& Append() { return b->Append(); }
-};
-
-}  // namespace
-
-template <typename Sink>
-void Table::ApplyBatchImpl(const std::vector<DeltaRequest>& deltas,
-                           Sink* out) {
-  auto emit = [out](const ValueList& fields, int64_t mult, bool is_delete) {
-    TableAction& a = out->Append();
-    a.fields = fields;  // copy-assign: reuses a recycled slot's capacity
-    a.mult = mult;
-    a.is_delete = is_delete;
-  };
-  for (const DeltaRequest& d : deltas) {
-    assert(d.mult > 0);
-    uint64_t hash = KeyHashOf(d.fields);
-    uint32_t i = FindSlotIdx(hash, d.fields);
-    if (d.is_delete) {
-      if (i == kNil || slots_[i].row.fields != d.fields) {
-        ++spurious_deletes_;  // matches PlanDelete on a missing tuple
-        continue;
-      }
-      int64_t m = std::min(d.mult, slots_[i].row.count);
-      if (m <= 0) continue;
-      emit(d.fields, m, /*is_delete=*/true);
-      DecrementAt(i, m);
-      continue;
-    }
-    if (i != kNil) {
-      Row& row = slots_[i].row;
-      if (row.fields == d.fields) {
-        emit(d.fields, d.mult, /*is_delete=*/false);
-        row.count += d.mult;
-        continue;
-      }
-      // Key replacement: retract the displaced tuple entirely, then insert.
-      // The action copies the fields before the erase recycles the slot.
-      emit(row.fields, row.count, /*is_delete=*/true);
-      DecrementAt(i, row.count);
-    }
-    emit(d.fields, d.mult, /*is_delete=*/false);
-    InsertNewRow(hash, d.fields, d.mult);
-  }
-}
-
-void Table::ApplyBatch(const std::vector<DeltaRequest>& deltas,
-                       std::vector<TableAction>* out) {
-  VectorActionSink sink{out};
-  ApplyBatchImpl(deltas, &sink);
-}
-
-void Table::ApplyBatch(const std::vector<DeltaRequest>& deltas,
-                       ActionBuffer* out) {
-  BufferActionSink sink{out};
-  ApplyBatchImpl(deltas, &sink);
 }
 
 const std::vector<Table::RowHandle>& Table::OrderedView() const {

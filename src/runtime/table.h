@@ -51,20 +51,12 @@ struct TableAction {
   bool is_delete = false;
 };
 
-/// One unplanned delta (an insert or delete request before key-replacement
-/// and count-clamping planning), as drained from an engine queue.
-struct DeltaRequest {
-  ValueList fields;
-  int64_t mult = 1;  // always positive; is_delete selects the sign
-  bool is_delete = false;
-};
-
-/// Recycling buffer of TableActions for the batch hot path. Reset() rewinds
-/// the logical size without destroying elements, so each action's ValueList
-/// keeps its buffer and the next batch copy-assigns into retained capacity
-/// instead of allocating (a plain vector's clear() frees every fields
-/// buffer). Append() returns a slot whose previous contents are
-/// unspecified — the caller must assign fields, mult, and is_delete.
+/// Recycling buffer of TableActions for the per-delta hot path. Reset()
+/// rewinds the logical size without destroying elements, so each action's
+/// ValueList keeps its buffer and the next delta's plan copy-assigns into
+/// retained capacity instead of allocating (a plain vector's clear() frees
+/// every fields buffer). Append() returns a slot whose previous contents
+/// are unspecified — the caller must assign fields, mult, and is_delete.
 class ActionBuffer {
  public:
   TableAction& Append() {
@@ -170,38 +162,22 @@ class Table {
            slots_[h.idx].gen == h.gen;
   }
 
-  /// Plans the visible actions for an insert delta of `mult` (> 0)
-  /// derivations of `fields`, WITHOUT mutating the table. A key replacement
-  /// yields a delete of the displaced tuple followed by the insert.
-  std::vector<TableAction> PlanInsert(const ValueList& fields,
-                                      int64_t mult) const;
-
-  /// Plans the visible actions for a delete delta. A delete of a tuple that
-  /// is not present (e.g. an in-flight retraction racing a replacement) is
-  /// dropped and counted in spurious_deletes(). Non-const only for that
-  /// counter bump; the stored rows are never mutated.
-  std::vector<TableAction> PlanDelete(const ValueList& fields, int64_t mult);
+  /// Plans the visible actions for a delta of `mult` (> 0) derivations of
+  /// `fields`, appending them to `out` in application order WITHOUT
+  /// mutating the stored rows:
+  ///  * an insert yields one insert action, preceded by a full retraction
+  ///    of the displaced tuple when it replaces another tuple's key;
+  ///  * a delete yields one delete action clamped to the stored count. A
+  ///    delete of a tuple that is not present (e.g. an in-flight retraction
+  ///    racing a replacement) yields nothing and is counted in
+  ///    spurious_deletes() — the only state planning touches, which is why
+  ///    it is non-const.
+  void Plan(const ValueList& fields, int64_t mult, bool is_delete,
+            ActionBuffer* out);
 
   /// Applies one planned action to the stored counts, maintaining every
   /// secondary index.
   void Apply(const TableAction& action);
-
-  /// Plans and applies a batch of deltas in order, appending the visible
-  /// actions (in application order) to `out`. Behaviourally identical to N
-  /// sequential PlanInsert/PlanDelete + Apply round-trips — including key
-  /// replacement, count clamping, spurious-delete accounting, and
-  /// count-to-zero retraction — but runs in one pass: the key hash is
-  /// computed once per delta and shared between planning and primary +
-  /// secondary index maintenance (sequential round-trips hash each key at
-  /// least twice). Property-tested against the serial path in
-  /// tests/runtime/apply_batch_test.cc.
-  void ApplyBatch(const std::vector<DeltaRequest>& deltas,
-                  std::vector<TableAction>* out);
-
-  /// Same semantics, writing into a recycling ActionBuffer (the engine's
-  /// zero-allocation batch path). Appends after the buffer's current
-  /// contents, exactly like the vector overload.
-  void ApplyBatch(const std::vector<DeltaRequest>& deltas, ActionBuffer* out);
 
   /// All visible rows sorted by key projection — bit-for-bit the iteration
   /// order of the ordered-map storage this table used to keep, which the
@@ -258,7 +234,7 @@ class Table {
   static ValueList Project(const std::vector<int>& positions,
                            const ValueList& fields);
 
-  /// Count of dropped spurious deletes (see PlanDelete).
+  /// Count of dropped spurious deletes (see Plan).
   uint64_t spurious_deletes() const { return spurious_deletes_; }
 
   /// Slots in the slab (live + recycled; diagnostics — bounded by the peak
@@ -308,12 +284,7 @@ class Table {
   /// harmless.
   uint32_t FindSlotIdx(uint64_t hash, const ValueList& fields) const;
 
-  /// Shared one-pass implementation behind both ApplyBatch overloads;
-  /// `Sink` provides `TableAction& Append()`.
-  template <typename Sink>
-  void ApplyBatchImpl(const std::vector<DeltaRequest>& deltas, Sink* out);
-
-  /// Shared mutation primitives behind Apply and ApplyBatch.
+  /// Mutation primitives behind Apply.
   void DecrementAt(uint32_t slot_idx, int64_t mult);
   void InsertNewRow(uint64_t hash, const ValueList& fields, int64_t mult);
   void EraseSlot(uint32_t slot_idx);

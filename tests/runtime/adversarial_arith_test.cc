@@ -3,7 +3,7 @@
 // division, modulo, negation, f_abs, and overflow-checked + - *. Run under
 // the CI sanitize job (ctest -R adversarial) this proves the guards turn
 // each would-be UB/SIGFPE case into a counted RuntimeError while leaving
-// the defined cases exact, in both serial and batched pipelines.
+// the defined cases exact, at batch_size 1 and 64.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/net/topology.h"
 #include "src/runtime/plan.h"
 
@@ -298,6 +301,52 @@ TEST(EngineTest, AggregateMinIncremental) {
   ASSERT_TRUE(engine.Delete(obs(1, 5)).ok());
   sim.Run();
   EXPECT_EQ(engine.GetTable("lowest")->size(), 0u);
+}
+
+TEST(EngineTest, AggregateGroupRecomputedOncePerDrain) {
+  // One probe event derives three cost tuples for the same a_min group in
+  // one drain, with falling costs (9, then 8, then 7: cand rows are joined
+  // in ascending I order). The group is recomputed once, when the drain's
+  // local queue runs empty, so an observer sees exactly one mincost insert
+  // at every batch size — no transient 9 and 8 outputs, each replaced by
+  // the next.
+  CompiledProgramPtr prog = MustCompile(R"(
+    materialize(cand, infinity, infinity, keys(1,2,3)).
+    materialize(cost, infinity, infinity, keys(1,2,3)).
+    materialize(mincost, infinity, infinity, keys(1,2)).
+    r1 cost(@X,Z,C) :- probe(@X,Z), cand(@X,Z,I), C := 10 - I.
+    r2 mincost(@X,Z,a_min<C>) :- cost(@X,Z,C).
+  )",
+                                        false);
+  ASSERT_NE(prog, nullptr);
+  for (uint32_t batch_size : {1u, 64u}) {
+    net::Simulator sim;
+    sim.AddNode();
+    EngineOptions opts;
+    opts.batch_size = batch_size;
+    Engine engine(&sim, 0, prog, opts);
+    for (int64_t i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(engine
+                      .Insert(Tuple("cand", {Value::Address(0), Value::Int(5),
+                                             Value::Int(i)}))
+                      .ok());
+    }
+    std::vector<std::string> seen;
+    engine.AddActionObserver(
+        [&seen](const std::string& table, const TableAction& action) {
+          if (table != "mincost") return;
+          seen.push_back((action.is_delete ? "-" : "+") +
+                         Tuple(table, action.fields).ToString());
+        });
+    ASSERT_TRUE(engine
+                    .InsertEvent(Tuple("probe", {Value::Address(0),
+                                                 Value::Int(5)}))
+                    .ok());
+    sim.Run();
+    EXPECT_EQ(engine.GetTable("cost")->size(), 3u) << "batch=" << batch_size;
+    EXPECT_EQ(seen, std::vector<std::string>{"+mincost(@0,5,7)"})
+        << "batch=" << batch_size;
+  }
 }
 
 TEST(EngineTest, AggregateCountStar) {

@@ -1,13 +1,13 @@
-// Golden-trace determinism pin: serial mode (batch_size = 1) must replay an
-// InstallLinks convergence bit-for-bit — every visible table action on
-// every node, in order. This is the determinism anchor the batched pipeline
-// is tested against: the equivalence suite proves batched mode reaches the
-// same fixpoint, and this trace pins what "serial" means so an accidental
-// semantic change to the anchor itself cannot hide there. The trace is
-// MINCOST converging on a 3-node line (provenance off, so the log stays
-// readable); any legitimate engine change that reorders serial evaluation
-// must regenerate the constant below (the test prints the actual trace on
-// mismatch).
+// Golden-trace determinism pin: at batch_size = 1 (every shipped delta in
+// its own frame) an InstallLinks convergence must replay bit-for-bit —
+// every visible table action on every node, in order. This is the
+// determinism anchor for frame coalescing: the equivalence suite proves
+// larger frame sizes reach the same fixpoint, and this trace pins the
+// per-tuple evaluation order itself so an accidental semantic change to
+// the anchor cannot hide there. The trace is MINCOST converging on a
+// 3-node line (provenance off, so the log stays readable); any legitimate
+// engine change that reorders evaluation must regenerate the constant
+// below (the test prints the actual trace on mismatch).
 #include <gtest/gtest.h>
 
 #include <iostream>

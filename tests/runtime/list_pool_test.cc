@@ -2,13 +2,13 @@
 // field buffers from the sender's pool into the receiver's, and nothing
 // sends them back, so an unbounded per-engine pool grows with the length of
 // the run on every net receiver. Each engine therefore keeps at most as many
-// pooled lists as it has acquired within one drain. This suite runs
+// pooled lists as it has ever needed on hand at once. This suite runs
 // path-vector with provenance on the AT&T North America corpus topology
 // under 200 seeded link failures and recoveries and checks that:
 //   - total pooled lists after event 200 are no more than after event 50
 //     (the pool follows live work, not elapsed events);
 //   - after every event the total never exceeds the sum of the engines'
-//     per-drain high-water marks;
+//     pool bounds;
 //   - the bound changes nothing observable: final tables and every node's
 //     canonical provenance graph are identical at batch {1,64} x
 //     threads {1,4}.
