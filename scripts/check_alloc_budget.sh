@@ -15,7 +15,9 @@
 # evaluation became the only pipeline (batch_size now only caps tuples per
 # shipped frame, so batch 1 runs the same pooled path) and the
 # field-buffer pool was bounded by its largest net draw, the two measure
-# ~3,560 and ~4,460. Budgets carry ~15%
+# ~3,560 and ~4,460. With the engine recording each firing's ruleExec/prov
+# rows itself (no execution-history view rows and their three consumer
+# rules per firing) they measure ~2,720 and ~3,430. Budgets carry ~15%
 # headroom over the measured values so noise does not flake CI, while any
 # real per-tuple regression (one alloc per shipped tuple is ~1,300/flap)
 # trips the gate.
@@ -31,15 +33,15 @@ BENCH="$BUILD_DIR/bench_churn"
 SCALEOUT="$BUILD_DIR/bench_scaleout"
 
 # allocs_per_flap ceilings, keyed by benchmark args (nodes/batch).
-BUDGET_24_64=4100
-BUDGET_24_1=5100
+BUDGET_24_64=3150
+BUDGET_24_1=3950
 # Threaded leg (bench_scaleout, nodes=64, threads=4, batch 64): the sharded
 # loop must stay pooled too — worker frame arenas and op logs reach steady
 # state exactly like the shared frame pool. Measured ~2,550 allocs/flap at
 # threads 1, 2, AND 4 (the parallel path adds zero steady-state
-# allocation), ~2,340 since the pipeline change above; the budget keeps
-# its original ~15% headroom over the older figure.
-BUDGET_SCALEOUT_64_4=3000
+# allocation), ~2,340 since the pipeline change above, and ~1,820 since
+# the engine records provenance itself; the budget keeps ~15% headroom.
+BUDGET_SCALEOUT_64_4=2100
 
 if [[ ! -x "$BENCH" || ! -x "$SCALEOUT" ]]; then
   echo "error: $BENCH / $SCALEOUT not built; configure with:" >&2

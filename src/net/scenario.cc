@@ -105,6 +105,14 @@ bool ParseUint(const std::string& s, uint64_t* out) {
   return true;
 }
 
+/// The first overflowed engine's error (it names the node and the trigger):
+/// an overflowed engine derives nothing more, so the run is void.
+Status CheckNoOverflow(
+    const std::vector<std::unique_ptr<runtime::Engine>>& engines) {
+  for (const auto& e : engines) NT_RETURN_IF_ERROR(e->overflow_status());
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<Scenario> ParseScenario(const std::string& text) {
@@ -256,8 +264,10 @@ Result<ScenarioRunStats> RunScenario(
         break;
       }
     }
+    NT_RETURN_IF_ERROR(CheckNoOverflow(*engines));
   }
   sim->Run();
+  NT_RETURN_IF_ERROR(CheckNoOverflow(*engines));
   return stats;
 }
 

@@ -80,7 +80,9 @@ struct ScenarioRunStats {
 /// Replays `scenario` against a running world. The engines must have been
 /// built over `topo` (one per node, links installed). Advances virtual
 /// time to each event, applies it via the protocols:: churn/crash helpers,
-/// and finally runs the simulator to quiescence. Provenance stores and
+/// and finally runs the simulator to quiescence. Fails, naming the node and
+/// the trigger, as soon as any engine has overflowed (see
+/// runtime::Engine::overflowed()). Provenance stores and
 /// query caches attached to the engines need nothing on restart: they read
 /// the restored tables and version (see provenance/store.h).
 Result<ScenarioRunStats> RunScenario(

@@ -10,7 +10,6 @@ namespace {
 using ndlog::Atom;
 using ndlog::AtomArg;
 using ndlog::Assign;
-using ndlog::BodyTerm;
 using ndlog::Expr;
 using ndlog::ExprPtr;
 using ndlog::MaterializeDecl;
@@ -30,14 +29,6 @@ AtomArg LocArg(ExprPtr expr) {
   return arg;
 }
 
-/// f_mkvid("<pred>", arg0, arg1, ...) over an atom's argument expressions.
-ExprPtr MkVidCall(const Atom& atom) {
-  std::vector<ExprPtr> args;
-  args.push_back(Expr::MakeConst(Value::Str(atom.predicate)));
-  for (const AtomArg& a : atom.args) args.push_back(a.expr);
-  return Expr::MakeCall("f_mkvid", std::move(args));
-}
-
 MaterializeDecl AllFieldsDecl(const std::string& table) {
   MaterializeDecl decl;
   decl.table = table;
@@ -50,8 +41,7 @@ MaterializeDecl AllFieldsDecl(const std::string& table) {
 }  // namespace
 
 bool IsProvenancePredicate(const std::string& name) {
-  return name == kProvTable || name == kRuleExecTable ||
-         name.rfind(kEhPrefix, 0) == 0;
+  return name == kProvTable || name == kRuleExecTable;
 }
 
 Result<Program> RewriteForProvenance(const ndlog::AnalyzedProgram& analyzed) {
@@ -75,113 +65,15 @@ Result<Program> RewriteForProvenance(const ndlog::AnalyzedProgram& analyzed) {
     }
   }
 
+  // Rules pass through: the engine records their provenance as they fire.
+  // (Analysis has already rejected aggregating maybe rules.)
   for (const Rule& rule : in.rules) {
-    if (rule.head.HasAggregate()) {
-      // Aggregate provenance is recorded by the engine (winning
-      // contributions); the rule itself passes through.
-      if (rule.is_maybe) {
-        return Status::PlanError("rule " + rule.name +
-                                 ": maybe rules cannot aggregate");
-      }
-      out.rules.push_back(rule);
-      continue;
-    }
-
-    // The rewrite pivots on the execution-history view eh_<rule>.
-    const std::string eh_pred = std::string(kEhPrefix) + rule.name;
-    out.materializations.push_back(AllFieldsDecl(eh_pred));
-
-    // Body location expression: first body atom's location argument. The
-    // program is localized, so every body atom shares it. Maybe rules have
-    // the head at the same location (checked by analysis).
-    std::vector<const Atom*> body_atoms = rule.BodyAtoms();
-    ExprPtr loc_expr;
-    if (!body_atoms.empty()) {
-      loc_expr = body_atoms[0]->args[0].expr;
-    } else {
-      // Body with no atoms (constant rule): executes at the head location.
-      loc_expr = rule.head.args[0].expr;
-    }
-
-    // --- rk_eh: capture the execution history. ---
-    Rule eh_rule;
-    eh_rule.name = rule.name + "_eh";
-    eh_rule.head.predicate = eh_pred;
-    eh_rule.head.args.push_back(LocArg(loc_expr));
-    for (const AtomArg& harg : rule.head.args) {
-      eh_rule.head.args.push_back(PlainArg(harg.expr));
-    }
-    const std::string vids_var = "NT_Vids";
-    eh_rule.head.args.push_back(PlainArg(Expr::MakeVar(vids_var)));
-
+    out.rules.push_back(rule);
     if (rule.is_maybe) {
       // The externally observed head tuple joins as the first body atom.
-      Atom head_as_body = rule.head;
-      eh_rule.body.emplace_back(std::move(head_as_body));
+      Rule& maybe = out.rules.back();
+      maybe.body.insert(maybe.body.begin(), rule.head);
     }
-    for (const BodyTerm& term : rule.body) eh_rule.body.push_back(term);
-
-    // NT_Vi := f_mkvid(...) per body atom; the maybe-rule head is not an
-    // input (it is the effect, not a cause).
-    std::vector<ExprPtr> vid_vars;
-    for (size_t i = 0; i < body_atoms.size(); ++i) {
-      std::string v = "NT_V" + std::to_string(i);
-      eh_rule.body.emplace_back(Assign{v, MkVidCall(*body_atoms[i]), {}});
-      vid_vars.push_back(Expr::MakeVar(v));
-    }
-    eh_rule.body.emplace_back(
-        Assign{vids_var, Expr::MakeCall("f_list", std::move(vid_vars)), {}});
-    out.rules.push_back(std::move(eh_rule));
-
-    // Shared eh body atom for the consumer rules.
-    Atom eh_atom;
-    eh_atom.predicate = eh_pred;
-    eh_atom.args.push_back(LocArg(loc_expr));
-    for (const AtomArg& harg : rule.head.args) {
-      eh_atom.args.push_back(PlainArg(harg.expr));
-    }
-    eh_atom.args.push_back(PlainArg(Expr::MakeVar(vids_var)));
-
-    // --- rk_hd: derive the head from the history (regular rules only). ---
-    if (!rule.is_maybe) {
-      Rule hd_rule;
-      hd_rule.name = rule.name + "_hd";
-      hd_rule.head = rule.head;
-      hd_rule.body.emplace_back(eh_atom);
-      out.rules.push_back(std::move(hd_rule));
-    }
-
-    // --- rk_re: the rule-execution vertex. ---
-    ExprPtr rid_call = Expr::MakeCall(
-        "f_mkrid", {Expr::MakeConst(Value::Str(rule.name)), loc_expr,
-                    Expr::MakeVar(vids_var)});
-    Rule re_rule;
-    re_rule.name = rule.name + "_re";
-    re_rule.head.predicate = kRuleExecTable;
-    re_rule.head.args.push_back(LocArg(loc_expr));
-    re_rule.head.args.push_back(PlainArg(Expr::MakeVar("NT_RID")));
-    re_rule.head.args.push_back(
-        PlainArg(Expr::MakeConst(Value::Str(rule.name))));
-    re_rule.head.args.push_back(PlainArg(Expr::MakeVar(vids_var)));
-    re_rule.body.emplace_back(eh_atom);
-    re_rule.body.emplace_back(Assign{"NT_RID", rid_call, {}});
-    out.rules.push_back(std::move(re_rule));
-
-    // --- rk_pr: the provenance edge, shipped to the head's node. ---
-    ExprPtr vid_call = MkVidCall(rule.head);
-    Rule pr_rule;
-    pr_rule.name = rule.name + "_pr";
-    pr_rule.head.predicate = kProvTable;
-    pr_rule.head.args.push_back(LocArg(rule.head.args[0].expr));
-    pr_rule.head.args.push_back(PlainArg(Expr::MakeVar("NT_VID")));
-    pr_rule.head.args.push_back(PlainArg(Expr::MakeVar("NT_RID")));
-    pr_rule.head.args.push_back(PlainArg(loc_expr));
-    pr_rule.head.args.push_back(
-        PlainArg(Expr::MakeConst(Value::Int(rule.is_maybe ? 1 : 0))));
-    pr_rule.body.emplace_back(eh_atom);
-    pr_rule.body.emplace_back(Assign{"NT_VID", vid_call, {}});
-    pr_rule.body.emplace_back(Assign{"NT_RID", rid_call, {}});
-    out.rules.push_back(std::move(pr_rule));
   }
 
   // Base-tuple self-edges: prov(@L, VID, VID, L, 0) :- b(@L, ...).

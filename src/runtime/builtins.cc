@@ -208,8 +208,8 @@ Result<Value> FIsExtend(const std::vector<Value>& args) {
 
 // f_mkvid("pred", field0, field1, ...): the VID of tuple pred(fields...).
 // Digests the argument values in place instead of copying them into a
-// ValueList and re-walking every element (this runs once per rule firing
-// per body atom under the provenance rewrite).
+// ValueList and re-walking every element (the provenance rewrite's
+// base-tuple self-edge rules call it once per base-tuple action).
 Result<Value> FMkVid(const std::vector<Value>& args) {
   if (args.empty() || !args[0].is_string()) {
     return Status::TypeError("f_mkvid expects a predicate name first");

@@ -1,7 +1,7 @@
 // Builtin NDlog functions (the f_* library). Includes the list/path helpers
 // used by the routing protocols, the BGP route matcher f_isExtend from the
-// paper's maybe rule, and the VID/RID digest functions the ExSPAN
-// provenance rewrite emits.
+// paper's maybe rule, and the VID/RID digest functions (f_mkvid/f_mkrid,
+// equal to the digests the engine records provenance with).
 #ifndef NETTRAILS_RUNTIME_BUILTINS_H_
 #define NETTRAILS_RUNTIME_BUILTINS_H_
 
@@ -67,8 +67,8 @@ bool IsBuiltin(const std::string& name);
 std::vector<std::string> BuiltinNames();
 
 /// VID of tuple `name(fields...)` as the engine computes it. The f_mkvid
-/// builtin and the aggregate provenance path both call this, so declarative
-/// and engine-computed VIDs agree bit-for-bit.
+/// builtin digests the same way, so declarative and engine-computed VIDs
+/// agree bit-for-bit.
 Vid TupleVid(const std::string& name, const ValueList& fields);
 
 /// RID of a rule execution: digest of (rule name, executing node, input VID

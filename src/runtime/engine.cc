@@ -15,32 +15,36 @@ namespace {
 
 using ndlog::Atom;
 
-/// The views ProvStore reads: changes to them move provenance_version().
-bool IsProvenanceView(const std::string& table) {
-  return table == provenance::kProvTable ||
-         table == provenance::kRuleExecTable;
-}
-
 /// VID of the concrete tuple a lowered atom matched, hashed straight from
-/// the frame (used for aggregate provenance). Bit-identical to
-/// TupleVid(predicate, fields-materialized-from-the-frame) — it replays
-/// DigestTuple's layout (name, then AddValueRange's count + element
-/// digests) without building the ValueList.
-Result<Vid> AtomVid(const std::string& predicate, const CompiledAtom& atom,
-                    const Frame& frame) {
+/// a completed join frame (matching the atom bound all its variables).
+/// Bit-identical to TupleVid(predicate, fields-materialized-from-the-frame)
+/// — it replays DigestTuple's layout (name, then AddValueRange's count +
+/// element digests) without building the ValueList.
+Vid AtomVid(const std::string& predicate, const CompiledAtom& atom,
+            const Frame& frame) {
   Hasher h;
   h.AddString(predicate);
   h.AddU64(atom.args.size());
   for (const SlotArg& arg : atom.args) {
-    if (arg.is_const()) {
-      h.AddU64(arg.constant.Hash());
-    } else if (frame.IsBound(arg.slot)) {
-      h.AddU64(frame.Get(arg.slot).Hash());
-    } else {
-      return Status::RuntimeError("unbound variable " + arg.name);
-    }
+    assert(arg.is_const() || frame.IsBound(arg.slot));
+    h.AddU64(arg.is_const() ? arg.constant.Hash()
+                            : frame.Get(arg.slot).Hash());
   }
   return h.Digest();
+}
+
+/// The VIDs of the body tuples a completed join frame matched, as the list
+/// a ruleExec row carries. A maybe rule's first body atom is its observed
+/// head: an effect, not a cause, so it is left out.
+void BodyVids(const CompiledRule& cr, const Frame& frame, ValueList* out) {
+  out->clear();
+  for (size_t i = cr.rule.is_maybe ? 1 : 0; i < cr.atom_positions.size();
+       ++i) {
+    const size_t pos = cr.atom_positions[i];
+    out->push_back(VidToValue(AtomVid(
+        std::get<Atom>(cr.rule.body[pos]).predicate, cr.body[pos].atom,
+        frame)));
+  }
 }
 
 }  // namespace
@@ -95,6 +99,7 @@ void Engine::SchedulePeriodics() {
 }
 
 void Engine::FirePeriodic(PeriodicStream stream, int64_t iteration) {
+  if (DropIfOverflowed(kPeriodicPredicate)) return;
   ++stats_.periodic_firings;
   // Fresh event id per firing, stable across runs (no wall clock). The
   // restart epoch is mixed in so a restored engine's re-run of the stream
@@ -132,6 +137,7 @@ Status Engine::Insert(const Tuple& tuple) {
   if (it == tables_.end()) {
     return Status::NotFound("no materialized table " + tuple.name());
   }
+  NT_RETURN_IF_ERROR(overflow_status());
   EnqueueLocal({tuple.name(), tuple.fields(), 1, /*is_delete=*/false});
   DrainQueue();
   return Status::OK();
@@ -153,6 +159,7 @@ Status Engine::Delete(const Tuple& tuple) {
   if (count == 0) {
     return Status::NotFound("tuple " + tuple.ToString() + " not present");
   }
+  NT_RETURN_IF_ERROR(overflow_status());
   EnqueueLocal({tuple.name(), tuple.fields(), count, /*is_delete=*/true});
   DrainQueue();
   return Status::OK();
@@ -168,9 +175,25 @@ Status Engine::InsertEvent(const Tuple& tuple) {
     return Status::InvalidArgument("table " + tuple.name() +
                                    " is materialized; use Insert");
   }
+  NT_RETURN_IF_ERROR(overflow_status());
   EnqueueLocal({tuple.name(), tuple.fields(), 1, /*is_delete=*/false});
   DrainQueue();
   return Status::OK();
+}
+
+Status Engine::overflow_status() const {
+  if (!overflowed_) return Status::OK();
+  return Status::RuntimeError(
+      "node " + std::to_string(id_) + " overflowed: max_actions_per_trigger (" +
+      std::to_string(opts_.max_actions_per_trigger) + ") exceeded on " +
+      overflow_trigger_);
+}
+
+bool Engine::DropIfOverflowed(const std::string& pred) {
+  if (!overflowed_) return false;
+  NoteEvalError(Status::RuntimeError("dropped " + pred + ": " +
+                                     overflow_status().message()));
+  return true;
 }
 
 void Engine::OnTupleMessage(net::Message& msg) {
@@ -182,12 +205,14 @@ void Engine::OnTupleMessage(net::Message& msg) {
     ++stats_.batches_processed;
     stats_.batched_tuples += msg.batch.size();
     for (net::BatchedTuple& b : msg.batch) {
+      if (DropIfOverflowed(b.payload.name())) continue;
       EnqueueLocal({b.payload.name(), std::move(b.payload.mutable_fields()),
                     b.multiplicity, b.is_delete});
     }
     DrainQueue();
     return;
   }
+  if (DropIfOverflowed(msg.payload.name())) return;
   EnqueueLocal({msg.payload.name(), std::move(msg.payload.mutable_fields()),
                 msg.multiplicity, msg.is_delete});
   DrainQueue();
@@ -248,6 +273,10 @@ void Engine::DrainQueue() {
 }
 
 void Engine::ProcessDelta(Delta& delta) {
+  if (delta.firing_rule >= 0) {
+    EmitFiring(delta);
+    return;
+  }
   auto it = tables_.find(delta.table);
   if (it == tables_.end()) {
     // Event: fire triggers, register the VID, never store.
@@ -265,14 +294,12 @@ void Engine::ProcessDelta(Delta& delta) {
   if (delta.is_eviction) --pending_evictions_[delta.table];
   actions_.Reset();
   table.Plan(delta.fields, delta.mult, delta.is_delete, &actions_);
-  // Under the rewrite, its own views (eh_* / prov / ruleExec) are never
-  // provenance vertices — the graph references program-tuple VIDs and
-  // RIDs, both digested by f_mkvid/f_mkrid — so their rows skip VID
-  // registration. Gated on prog_->provenance: without the rewrite those
-  // names are ordinary user tables.
-  const bool track_vids =
-      !(prog_->provenance && provenance::IsProvenancePredicate(delta.table));
-  if (IsProvenanceView(delta.table)) provenance_version_ += actions_.size();
+  // ProvStore reads the provenance views, so their changes move
+  // provenance_version(). Their rows are never graph vertices and skip VID
+  // registration — under provenance; without it they are user tables.
+  const bool prov_view = provenance::IsProvenancePredicate(delta.table);
+  if (prov_view) provenance_version_ += actions_.size();
+  const bool track_vids = !(prog_->provenance && prov_view);
   for (const TableAction& action : actions_) {
     // Rules see the pre-action store; atoms positioned before the delta
     // atom adjust by the action's effect (exact semi-naive maintenance).
@@ -296,7 +323,7 @@ void Engine::ScheduleExpiry(const std::string& name, const ValueList& key,
     const Table* t = GetTable(name);
     if (t == nullptr) return;
     const Table::Row* row = t->FindByKey(key);
-    if (row == nullptr) return;
+    if (row == nullptr || DropIfOverflowed(name)) return;
     ++stats_.expirations;
     EnqueueLocal({name, CopyToPooled(row->fields), row->count,
                   /*is_delete=*/true});
@@ -345,7 +372,8 @@ void Engine::HandleSoftState(const Table& table, const TableAction& action) {
 void Engine::FireTriggers(const std::string& pred, const TableAction& action) {
   if (++actions_this_trigger_ > opts_.max_actions_per_trigger) {
     overflowed_ = true;
-    last_error_ = "max_actions_per_trigger exceeded on " + pred;
+    overflow_trigger_ = pred;
+    last_error_ = overflow_status().message();
     return;
   }
   ++stats_.actions_processed;
@@ -547,7 +575,9 @@ void Engine::EmitHead(const CompiledRule& cr, size_t rule_idx,
     HandleAggContribution(cr, rule_idx, frame, mult, is_delete);
     return;
   }
-  if (cr.head_is_event && is_delete) return;  // no event retraction
+  // No event retraction — though a recorded firing still retracts its
+  // provenance (EmitFiring).
+  if (cr.head_is_event && is_delete && !cr.records_provenance) return;
 
   auto eval_head = [&]() -> Result<ValueList> {
     ValueList out = AcquireList();
@@ -569,14 +599,61 @@ void Engine::EmitHead(const CompiledRule& cr, size_t rule_idx,
     return;
   }
   ++stats_.rule_firings;
-  NodeId dst = (*fields)[0].as_address();
-  if (dst == id_) {
-    EnqueueLocal({cr.rule.head.predicate, std::move(fields).value(), mult,
-                  is_delete});
+  if (!cr.records_provenance) {
+    EmitTuple(cr.rule.head.predicate, std::move(fields).value(), mult,
+              is_delete);
     return;
   }
-  ShipRemote(dst, Tuple(cr.rule.head.predicate, std::move(fields).value()),
-             mult, is_delete);
+  ValueList vids;
+  BodyVids(cr, frame, &vids);
+  Delta firing{{}, std::move(fields).value(), mult, is_delete};
+  firing.firing_rule = static_cast<int32_t>(rule_idx);
+  firing.vids = Value::List(std::move(vids));
+  EnqueueLocal(std::move(firing));
+}
+
+void Engine::EmitFiring(const Delta& firing) {
+  const CompiledRule& cr =
+      prog_->rules[static_cast<size_t>(firing.firing_rule)];
+  const std::string& head = cr.rule.head.predicate;
+  ValueList rule_exec, prov;
+  ProvenanceRows(cr, firing.fields[0], TupleVid(head, firing.fields),
+                 firing.vids, &rule_exec, &prov);
+  if (!cr.rule.is_maybe && !(cr.head_is_event && firing.is_delete)) {
+    EmitTuple(head, CopyToPooled(firing.fields), firing.mult,
+              firing.is_delete);
+  }
+  EnqueueLocal({provenance::kRuleExecTable, std::move(rule_exec), firing.mult,
+                firing.is_delete});
+  EmitTuple(provenance::kProvTable, std::move(prov), firing.mult,
+            firing.is_delete);
+}
+
+void Engine::ProvenanceRows(const CompiledRule& cr, const Value& head_loc,
+                            Vid head_vid, const Value& vids,
+                            ValueList* rule_exec, ValueList* prov) {
+  rid_vids_scratch_.clear();
+  for (const Value& v : vids.as_list()) {
+    rid_vids_scratch_.push_back(ValueToVid(v));
+  }
+  const Value rid =
+      VidToValue(RuleExecRid(cr.rule.name, id_, rid_vids_scratch_));
+  const Value here = Value::Address(id_);
+  *rule_exec = AcquireList();
+  rule_exec->assign({here, rid, Value::Str(cr.rule.name), vids});
+  *prov = AcquireList();
+  prov->assign({head_loc, VidToValue(head_vid), rid, here,
+                Value::Int(cr.rule.is_maybe ? 1 : 0)});
+}
+
+void Engine::EmitTuple(const std::string& pred, ValueList fields,
+                       int64_t mult, bool is_delete) {
+  const NodeId dst = fields[0].as_address();
+  if (dst == id_) {
+    EnqueueLocal({pred, std::move(fields), mult, is_delete});
+    return;
+  }
+  ShipRemote(dst, Tuple(pred, std::move(fields)), mult, is_delete);
 }
 
 void Engine::ShipRemote(NodeId dst, Tuple tuple, int64_t mult,
@@ -671,16 +748,7 @@ void Engine::HandleAggContribution(const CompiledRule& cr, size_t rule_idx,
   // the stored list in place.
   const ValueList* vids = nullptr;
   if (prog_->provenance) {
-    agg_vid_scratch_.clear();
-    for (size_t pos : cr.atom_positions) {
-      const Atom& atom = std::get<Atom>(cr.rule.body[pos]);
-      Result<Vid> vid = AtomVid(atom.predicate, cr.body[pos].atom, frame);
-      if (!vid.ok()) {
-        NoteEvalError(vid.status());
-        return;
-      }
-      agg_vid_scratch_.push_back(VidToValue(*vid));
-    }
+    BodyVids(cr, frame, &agg_vid_scratch_);
     vids = &agg_vid_scratch_;
   }
   ++stats_.rule_firings;
@@ -732,27 +800,14 @@ void Engine::RecomputeAggGroup(const CompiledRule& cr,
     new_fields.insert(new_fields.begin() + static_cast<long>(cr.agg_arg_index),
                       *output);
     if (prog_->provenance) {
-      Vid head_vid = TupleVid(cr.rule.head.predicate, new_fields);
+      const Vid head_vid = TupleVid(cr.rule.head.predicate, new_fields);
       state.group.Winners(cr.agg_fn, &winners_scratch_);
       for (const AggGroup::ContribKey& win : winners_scratch_) {
         if (!win.vids.is_list()) continue;
-        winner_vids_scratch_.clear();
-        for (const Value& v : win.vids.as_list()) {
-          winner_vids_scratch_.push_back(ValueToVid(v));
-        }
-        Vid rid = RuleExecRid(cr.rule.name, id_, winner_vids_scratch_);
-        ValueList rx = AcquireList();
-        rx.push_back(Value::Address(id_));
-        rx.push_back(VidToValue(rid));
-        rx.push_back(Value::Str(cr.rule.name));
-        rx.push_back(win.vids);
+        ValueList rx, pv;
+        ProvenanceRows(cr, Value::Address(id_), head_vid, win.vids, &rx,
+                       &pv);
         desired_prov.emplace_back(provenance::kRuleExecTable, std::move(rx));
-        ValueList pv = AcquireList();
-        pv.push_back(Value::Address(id_));
-        pv.push_back(VidToValue(head_vid));
-        pv.push_back(VidToValue(rid));
-        pv.push_back(Value::Address(id_));
-        pv.push_back(Value::Int(0));
         desired_prov.emplace_back(provenance::kProvTable, std::move(pv));
       }
     }
@@ -915,6 +970,7 @@ void Engine::HaltForCrash() {
   DropDirtyAggregates();
   draining_ = false;
   overflowed_ = false;
+  overflow_trigger_.clear();
   last_error_.clear();
 }
 
@@ -924,6 +980,7 @@ void Engine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   queue_head_ = 0;
   draining_ = false;
   overflowed_ = false;
+  overflow_trigger_.clear();
   last_error_.clear();
   DropDirtyAggregates();
   outbox_.Clear();

@@ -87,8 +87,8 @@ struct EngineStats {
   /// distinct list drops to <= 1.
   uint64_t hash_cache_hits = 0;
   /// VID registrations that found an already-interned VID: re-derivations
-  /// and events re-touching known tuple vertices. Under the provenance
-  /// rewrite its own views (eh_* / prov / ruleExec) are never registered.
+  /// and events re-touching known tuple vertices. Under provenance the
+  /// views themselves (prov / ruleExec) are never registered.
   uint64_t vid_intern_hits = 0;
   /// Heap allocations (global operator new calls, process-wide) that landed
   /// while this engine was draining its delta queue. Reads 0 unless the
@@ -175,7 +175,7 @@ class Engine {
   const CompiledProgram& program() const { return *prog_; }
 
   /// Inserts / deletes an external (base) tuple. The tuple's location
-  /// attribute must be this node.
+  /// attribute must be this node. All three refuse while overflowed().
   Status Insert(const Tuple& tuple);
   Status Delete(const Tuple& tuple);
   /// Injects a transient event tuple (located here).
@@ -188,7 +188,7 @@ class Engine {
   int64_t CountOf(const Tuple& tuple) const;
 
   /// Total visible tuples across all materialized tables (storage metric;
-  /// `provenance_only` restricts to prov/ruleExec/eh_* tables).
+  /// `provenance_only` restricts to the prov/ruleExec tables).
   size_t TotalTuples(bool provenance_only = false) const;
 
   /// VID -> tuple for local state (and locally observed events). Entries
@@ -210,8 +210,12 @@ class Engine {
   }
 
   const EngineStats& stats() const { return stats_; }
-  /// True if the max_actions safety valve tripped (runaway program).
+  /// True if the max_actions safety valve tripped (runaway program). Until
+  /// a crash or restore the engine then refuses input: the inserts return
+  /// overflow_status() (naming the node and trigger), and each dropped
+  /// delivery or timer firing counts as an eval error naming its predicate.
   bool overflowed() const { return overflowed_; }
+  Status overflow_status() const;
   /// Last evaluation error, for diagnostics ("" if none).
   const std::string& last_error() const { return last_error_; }
 
@@ -270,9 +274,15 @@ class Engine {
     int64_t mult = 1;
     bool is_delete = false;
     bool is_eviction = false;  // decrement the pending-eviction counter
+    /// >= 0: a firing of this rule under provenance (see EmitFiring), with
+    /// the head in `fields` and the body VIDs in `vids`; `table` unused.
+    int32_t firing_rule = -1;
+    Value vids = Value::Null();
   };
 
   void OnTupleMessage(net::Message& msg);
+  /// True, after counting an eval error naming `pred`, when overflowed.
+  bool DropIfOverflowed(const std::string& pred);
   void EnqueueLocal(Delta delta);
 
   /// ValueList recycling pool for the delta pipeline. Field buffers flow
@@ -342,8 +352,21 @@ class Engine {
   /// returning.
   bool MatchAtom(const CompiledAtom& atom, const ValueList& fields,
                  Frame* frame, std::vector<int>* added) const;
+  /// Derives a firing's head; under provenance, queues a firing entry.
   void EmitHead(const CompiledRule& cr, size_t rule_idx, const Frame& frame,
                 int64_t mult, bool is_delete);
+  /// Emits a dequeued firing: the head (unless a maybe rule's, or an event
+  /// being retracted), then its ruleExec row, then its prov edge.
+  void EmitFiring(const Delta& firing);
+  /// Queues `fields` locally or ships them to the node in fields[0].
+  void EmitTuple(const std::string& pred, ValueList fields, int64_t mult,
+                 bool is_delete);
+  /// ruleExec(@here, RID, rule, vids) and prov(@head_loc, head_vid, RID,
+  /// here, Maybe) for one execution of `cr` here, RID as f_mkrid computes
+  /// it. Ordinary firings and aggregate recomputes both build them here.
+  void ProvenanceRows(const CompiledRule& cr, const Value& head_loc,
+                      Vid head_vid, const Value& vids, ValueList* rule_exec,
+                      ValueList* prov);
   /// Appends one tuple delta to `dst`'s outbox frame, sending the frame
   /// once it holds batch_size tuples.
   void ShipRemote(NodeId dst, Tuple tuple, int64_t mult, bool is_delete);
@@ -416,6 +439,7 @@ class Engine {
   bool suppress_shipping_ = false;
   uint64_t actions_this_trigger_ = 0;
   bool overflowed_ = false;
+  std::string overflow_trigger_;  // predicate dispatched when it tripped
 
   std::unordered_map<Vid, Tuple> vid_index_;
   provenance::VidInterner vid_interner_;
@@ -479,11 +503,11 @@ class Engine {
   ValueList probe_key_;
   std::pair<size_t, ValueList> agg_key_scratch_;
   ValueList agg_vid_scratch_;
-  /// Recompute scratch: winners, their raw VIDs, and the desired-provenance
-  /// build buffer (swapped against each state's last_prov, so tuple storage
-  /// cycles instead of being reallocated per recomputation).
+  /// Recompute scratch: winners, one execution's raw VIDs, and the desired-
+  /// provenance build buffer (swapped against each state's last_prov, so
+  /// tuple storage cycles instead of being reallocated per recompute).
   std::vector<AggGroup::ContribKey> winners_scratch_;
-  std::vector<Vid> winner_vids_scratch_;
+  std::vector<Vid> rid_vids_scratch_;
   std::vector<Tuple> agg_prov_scratch_;
   std::vector<ValueList> list_pool_;
   /// Running net draw on the pool (acquired minus returned; it falls below

@@ -299,6 +299,10 @@ Result<CompiledProgramPtr> Compile(const std::string& source,
       }
     }
 
+    cr.records_provenance =
+        options.provenance && !cr.has_agg &&
+        !provenance::IsProvenancePredicate(cr.rule.head.predicate);
+
     for (size_t i = 0; i < cr.rule.body.size(); ++i) {
       if (std::holds_alternative<Atom>(cr.rule.body[i])) {
         cr.atom_positions.push_back(i);

@@ -139,6 +139,11 @@ struct CompiledRule {
   std::vector<CompiledExpr> head_exprs;
   /// Head predicate is an event (not materialized).
   bool head_is_event = false;
+  /// Under provenance, each firing also records its ruleExec row and prov
+  /// edge (every non-aggregate rule except the base-tuple self-edge rules,
+  /// whose head is prov itself). A maybe rule (rule.is_maybe) records only
+  /// those: its body term 0 is the observed head, which it never derives.
+  bool records_provenance = false;
   /// Aggregate rule bookkeeping.
   bool has_agg = false;
   ndlog::AggFn agg_fn = ndlog::AggFn::kMin;
@@ -169,9 +174,10 @@ struct PeriodicStream {
 
 /// The shared, immutable execution plan.
 struct CompiledProgram {
-  /// Final program text (after localization and rewrite) — this is the
+  /// Final program text (after localization and rewrite): the paper's
   /// "modified program that contains additional rules for capturing the
-  /// program's provenance information" of the paper.
+  /// program's provenance information", less the rule-execution rows and
+  /// edges the engine records itself (see provenance/rewrite.h).
   ndlog::Program program;
   std::map<std::string, ndlog::TableInfo> tables;
   std::vector<CompiledRule> rules;

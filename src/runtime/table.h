@@ -22,8 +22,8 @@
 // Deterministic iteration (broadcast joins, snapshots, scans) goes through
 // OrderedView(), a lazily built, cached sorted view whose order is exactly
 // the old ordered-map order (sorted by key projection); it is only rebuilt
-// after an insert or erase, and the hot-churn tables (eh_* / prov /
-// ruleExec) are never iterated. Planner-selected secondary hash indexes
+// after an insert or erase, and the hot-churn tables (prov / ruleExec)
+// are never iterated. Planner-selected secondary hash indexes
 // (AddIndex/Probe) map a projection of argument positions to the row
 // handles matching it, so the engine's join loop probes instead of
 // scanning; their buckets are slab-recycled the same way the rows are.

@@ -21,10 +21,10 @@ const SystemSnapshot& LogStore::CaptureNow() {
     ns.node = engine->id();
     for (const auto& [name, info] : engine->program().tables) {
       if (!info.materialized) continue;
-      bool is_prov = provenance::IsProvenancePredicate(name);
-      bool is_eh = name.rfind(provenance::kEhPrefix, 0) == 0;
-      if (is_eh) continue;
-      if (is_prov && !is_eh && !options_.include_provenance) continue;
+      if (provenance::IsProvenancePredicate(name) &&
+          !options_.include_provenance) {
+        continue;
+      }
       std::vector<Tuple> contents = engine->TableContents(name);
       if (!contents.empty()) ns.tables[name] = std::move(contents);
     }

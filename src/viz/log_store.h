@@ -23,8 +23,7 @@ struct LinkEvent {
 };
 
 struct LogStoreOptions {
-  /// Capture the provenance tables prov/ruleExec in snapshots. The
-  /// internal eh_* views are never captured.
+  /// Capture the provenance tables prov/ruleExec in snapshots.
   bool include_provenance = true;
 };
 

@@ -175,6 +175,38 @@ TEST(ScenarioRunTest, FullyRecoveredChurnReachesTheUnchurnedFixpoint) {
   EXPECT_EQ(churned.Fingerprint(), before);
 }
 
+TEST(ScenarioRunTest, OverflowedEngineFailsTheRunNamingNodeAndTrigger) {
+  // Each installed link seeds a runaway tick chain at the far end, which
+  // overflows when the first event's time advance delivers it. The event
+  // itself is skipped (node 0 is not down), so it touches no engine: the
+  // runner's own check must catch the overflow.
+  Result<runtime::CompiledProgramPtr> prog = runtime::Compile(
+      R"(
+        materialize(link, infinity, infinity, keys(1,2)).
+        materialize(tick, infinity, infinity, keys(1,2)).
+        r0 tick(@Y,V) :- link(@X,Y,C), V := 0.
+        r1 tick(@X,V2) :- tick(@X,V), V2 := V + 1.
+      )",
+      runtime::NoProvenanceOptions());
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  const Topology topo = MakeLine(2, 1);
+  Simulator sim;
+  runtime::EngineOptions opts;
+  opts.max_actions_per_trigger = 1000;
+  auto engines = protocols::MakeEngines(&sim, topo, *prog, opts);
+  ASSERT_TRUE(protocols::InstallLinks(topo, &engines, &sim,
+                                      /*run_to_quiescence=*/false)
+                  .ok());
+  Result<ScenarioRunStats> stats =
+      RunScenario(Scn({{300 * kMillisecond, ScenarioAction::kRestartNode, 0}}),
+                  topo, &engines, &sim);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_NE(stats.status().message().find("node 0"), std::string::npos)
+      << stats.status().ToString();
+  EXPECT_NE(stats.status().message().find("tick"), std::string::npos)
+      << stats.status().ToString();
+}
+
 TEST(ScenarioRunTest, IndicesReduceModuloTopologySize) {
   World w(MakeRing(6, 1));
   const std::string before = w.Fingerprint();

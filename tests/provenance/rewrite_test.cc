@@ -36,20 +36,26 @@ constexpr char kSimpleSrc[] = R"(
 TEST(RewriteTest, ReservedPredicateDetection) {
   EXPECT_TRUE(IsProvenancePredicate("prov"));
   EXPECT_TRUE(IsProvenancePredicate("ruleExec"));
-  EXPECT_TRUE(IsProvenancePredicate("eh_r1"));
+  // The engine records rule executions itself: no eh_* views remain.
+  EXPECT_FALSE(IsProvenancePredicate("eh_r1"));
   EXPECT_FALSE(IsProvenancePredicate("reach"));
   EXPECT_FALSE(IsProvenancePredicate("myeh_x"));
 }
 
-TEST(RewriteTest, GeneratesEhHdReProvRules) {
+TEST(RewriteTest, OrdinaryRulesPassThrough) {
   Result<Program> out = RewriteSrc(kSimpleSrc);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_NE(FindRule(*out, "r1_eh"), nullptr);
-  EXPECT_NE(FindRule(*out, "r1_hd"), nullptr);
-  EXPECT_NE(FindRule(*out, "r1_re"), nullptr);
-  EXPECT_NE(FindRule(*out, "r1_pr"), nullptr);
-  // The original rule is replaced (head now derived via the eh view).
-  EXPECT_EQ(FindRule(*out, "r1"), nullptr);
+  // The engine records each firing's ruleExec row and prov edge, so the
+  // rule stays as written and no execution-history rules are generated.
+  const Rule* r1 = FindRule(*out, "r1");
+  ASSERT_NE(r1, nullptr);
+  EXPECT_EQ(r1->head.predicate, "reach");
+  EXPECT_EQ(r1->body.size(), 1u);
+  for (const char* gone : {"r1_eh", "r1_hd", "r1_re", "r1_pr"}) {
+    EXPECT_EQ(FindRule(*out, gone), nullptr) << gone;
+  }
+  // r1 plus link's self-edge rule.
+  EXPECT_EQ(out->rules.size(), 2u);
 }
 
 TEST(RewriteTest, DeclaresProvenanceTables) {
@@ -57,7 +63,7 @@ TEST(RewriteTest, DeclaresProvenanceTables) {
   ASSERT_TRUE(out.ok());
   EXPECT_NE(out->FindMaterialization(kProvTable), nullptr);
   EXPECT_NE(out->FindMaterialization(kRuleExecTable), nullptr);
-  EXPECT_NE(out->FindMaterialization("eh_r1"), nullptr);
+  EXPECT_EQ(out->FindMaterialization("eh_r1"), nullptr);
   // All-fields keys (counting semantics).
   EXPECT_TRUE(out->FindMaterialization(kProvTable)->keys.empty());
 }
@@ -76,24 +82,6 @@ TEST(RewriteTest, BaseTablesGetSelfEdgeRules) {
   EXPECT_EQ(FindRule(*out, "reach_bprov"), nullptr);
 }
 
-TEST(RewriteTest, ProvHeadShipsToHeadLocation) {
-  const char* src = R"(
-    materialize(a, infinity, infinity, keys(1,2)).
-    materialize(b, infinity, infinity, keys(1,2)).
-    r1 b(@Y,X) :- a(@X,Y).
-  )";
-  Result<Program> out = RewriteSrc(src);
-  ASSERT_TRUE(out.ok());
-  const Rule* pr = FindRule(*out, "r1_pr");
-  ASSERT_NE(pr, nullptr);
-  // prov's location argument is the head's location (Y); the RLoc argument
-  // is the body location (X).
-  EXPECT_EQ(pr->head.args[0].expr->var_name(), "Y");
-  EXPECT_EQ(pr->head.args[3].expr->var_name(), "X");
-  // Maybe flag is 0.
-  EXPECT_EQ(pr->head.args[4].expr->const_value(), Value::Int(0));
-}
-
 TEST(RewriteTest, MaybeRuleJoinsHeadAsBody) {
   const char* src = R"(
     materialize(i, infinity, infinity, keys(1,2)).
@@ -102,17 +90,17 @@ TEST(RewriteTest, MaybeRuleJoinsHeadAsBody) {
   )";
   Result<Program> out = RewriteSrc(src);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  const Rule* eh = FindRule(*out, "m1_eh");
-  ASSERT_NE(eh, nullptr);
-  // First body atom is the (externally inserted) head table.
-  ASSERT_FALSE(eh->BodyAtoms().empty());
-  EXPECT_EQ(eh->BodyAtoms()[0]->predicate, "o");
-  // No head-derivation rule for maybe rules.
-  EXPECT_EQ(FindRule(*out, "m1_hd"), nullptr);
-  // Maybe edge flag is 1.
-  const Rule* pr = FindRule(*out, "m1_pr");
-  ASSERT_NE(pr, nullptr);
-  EXPECT_EQ(pr->head.args[4].expr->const_value(), Value::Int(1));
+  const Rule* m1 = FindRule(*out, "m1");
+  ASSERT_NE(m1, nullptr);
+  // Still a maybe rule (the engine records it provenance-only, with
+  // Maybe = 1); its first body atom is the (externally inserted) head.
+  EXPECT_TRUE(m1->is_maybe);
+  ASSERT_EQ(m1->BodyAtoms().size(), 2u);
+  EXPECT_EQ(m1->BodyAtoms()[0]->predicate, "o");
+  EXPECT_EQ(m1->BodyAtoms()[1]->predicate, "i");
+  for (const char* gone : {"m1_eh", "m1_hd", "m1_re", "m1_pr"}) {
+    EXPECT_EQ(FindRule(*out, gone), nullptr) << gone;
+  }
   // Maybe heads do not get base self-edges (their prov is the inference).
   EXPECT_EQ(FindRule(*out, "o_bprov"), nullptr);
   EXPECT_NE(FindRule(*out, "i_bprov"), nullptr);
@@ -126,8 +114,9 @@ TEST(RewriteTest, AggregateRulesPassThrough) {
   )";
   Result<Program> out = RewriteSrc(src);
   ASSERT_TRUE(out.ok());
-  EXPECT_NE(FindRule(*out, "mc3"), nullptr);
-  EXPECT_EQ(FindRule(*out, "mc3_eh"), nullptr);
+  const Rule* mc3 = FindRule(*out, "mc3");
+  ASSERT_NE(mc3, nullptr);
+  EXPECT_TRUE(mc3->head.HasAggregate());
 }
 
 TEST(RewriteTest, DuplicateRuleNamesRejected) {
@@ -156,13 +145,13 @@ TEST(RewriteTest, RewrittenProgramReanalyzes) {
   EXPECT_TRUE(again.ok()) << again.status().ToString();
 }
 
-TEST(RewriteTest, VidAssignmentsUseMkVid) {
+TEST(RewriteTest, SelfEdgeVidUsesMkVid) {
   Result<Program> out = RewriteSrc(kSimpleSrc);
   ASSERT_TRUE(out.ok());
   std::string text = out->ToString();
   EXPECT_NE(text.find("f_mkvid(\"link\""), std::string::npos);
-  EXPECT_NE(text.find("f_mkvid(\"reach\""), std::string::npos);
-  EXPECT_NE(text.find("f_mkrid(\"r1\""), std::string::npos);
+  // Rule-execution digests are the engine's, not generated rules'.
+  EXPECT_EQ(text.find("f_mkrid"), std::string::npos);
 }
 
 }  // namespace

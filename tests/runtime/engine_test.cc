@@ -473,6 +473,59 @@ TEST(EngineTest, OverflowSafetyValve) {
   EXPECT_FALSE(engine.last_error().empty());
 }
 
+TEST(EngineTest, OverflowedEngineRefusesInputLoudly) {
+  // After a runaway trigger overflows, the engine derives nothing more (its
+  // last drain was truncated, so its state is not a fixpoint). Input must
+  // be refused visibly, never stored with its consequences silently
+  // dropped.
+  CompiledProgramPtr prog = MustCompile(R"(
+    materialize(link, infinity, infinity, keys(1,2)).
+    materialize(tick, infinity, infinity, keys(1,2)).
+    materialize(src, infinity, infinity, keys(1,2)).
+    materialize(dst, infinity, infinity, keys(1,2)).
+    materialize(fwd, infinity, infinity, keys(1,2)).
+    r1 tick(@X,V2) :- tick(@X,V), V2 := V + 1.
+    r2 dst(@X,V) :- src(@X,V).
+    r3 src(@Y,V) :- link(@X,Y,C), fwd(@X,V).
+  )",
+                                        false);
+  net::Simulator sim;
+  sim.AddNode();
+  sim.AddNode();
+  sim.AddLink(0, 1);
+  EngineOptions opts;
+  opts.max_actions_per_trigger = 1000;
+  Engine e0(&sim, 0, prog, opts);
+  Engine e1(&sim, 1, prog, opts);
+  const Tuple tick("tick", {Value::Address(0), Value::Int(0)});
+  ASSERT_TRUE(e0.Insert(tick).ok());
+  sim.Run();
+  ASSERT_TRUE(e0.overflowed());
+
+  const Tuple src("src", {Value::Address(0), Value::Int(7)});
+  Status st = e0.Insert(src);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("tick"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.message().find("node 0"), std::string::npos) << st.ToString();
+  EXPECT_EQ(st.ToString(), e0.overflow_status().ToString());
+  EXPECT_FALSE(e0.HasTuple(src));
+  EXPECT_FALSE(e0.InsertEvent(Tuple("ping", {Value::Address(0)})).ok());
+  EXPECT_FALSE(e0.Delete(tick).ok());
+
+  // A delivery to the overflowed engine is dropped and counted as an
+  // evaluation error naming its predicate.
+  const uint64_t errors_before = e0.stats().eval_errors;
+  ASSERT_TRUE(e1.Insert(Link(1, 0, 1)).ok());
+  ASSERT_TRUE(e1.Insert(Tuple("fwd", {Value::Address(1), Value::Int(7)})).ok());
+  sim.Run();
+  EXPECT_EQ(e0.stats().eval_errors, errors_before + 1);
+  EXPECT_NE(e0.last_error().find("src"), std::string::npos) << e0.last_error();
+  EXPECT_FALSE(e0.HasTuple(src));
+  EXPECT_TRUE(e0.TableContents("dst").empty());
+  EXPECT_FALSE(e1.overflowed());
+  EXPECT_TRUE(e1.overflow_status().ok());
+}
+
 }  // namespace
 }  // namespace runtime
 }  // namespace nettrails

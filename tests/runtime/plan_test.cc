@@ -27,10 +27,32 @@ TEST(PlanTest, CompilesMincostWithProvenance) {
   EXPECT_TRUE((*prog)->provenance);
   EXPECT_NE((*prog)->FindTable(provenance::kProvTable), nullptr);
   EXPECT_NE((*prog)->FindTable(provenance::kRuleExecTable), nullptr);
-  // eh views exist for the non-aggregate rules.
-  EXPECT_NE((*prog)->FindTable("eh_mc1"), nullptr);
-  EXPECT_NE((*prog)->FindTable("eh_mc2"), nullptr);
-  EXPECT_EQ((*prog)->FindTable("eh_mc3"), nullptr);  // aggregate rule
+  // The engine records each firing's provenance itself: no generated
+  // execution-history tables. The rules are the four compiled without
+  // provenance plus link's base-tuple self-edge rule.
+  for (const auto& [name, info] : (*prog)->tables) {
+    EXPECT_NE(name.rfind("eh_", 0), 0u) << name;
+  }
+  EXPECT_EQ((*prog)->rules.size(), 5u);
+  size_t recording = 0;
+  for (const CompiledRule& cr : (*prog)->rules) {
+    if (cr.records_provenance) ++recording;
+  }
+  // mc1, mc2 and the reversal rule; not the aggregate mc3 (the engine
+  // records its winners) nor link_bprov (its head is prov).
+  EXPECT_EQ(recording, 3u);
+}
+
+TEST(PlanTest, CompilesPathVectorWithProvenance) {
+  Result<CompiledProgramPtr> plain =
+      Compile(protocols::PathVectorProgram(), NoProvenanceOptions());
+  Result<CompiledProgramPtr> prog = Compile(protocols::PathVectorProgram());
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  // Provenance adds only link's base-tuple self-edge rule.
+  EXPECT_EQ((*plain)->rules.size(), 5u);
+  EXPECT_EQ((*prog)->rules.size(), 6u);
+  EXPECT_NE((*prog)->FindTable(provenance::kProvTable), nullptr);
 }
 
 TEST(PlanTest, AllShippedProtocolsCompile) {
@@ -220,14 +242,22 @@ TEST(PlanTest, MaybeRulesDroppedWithoutProvenance) {
 TEST(PlanTest, MaybeRulesBecomeProvenanceRules) {
   Result<CompiledProgramPtr> prog = Compile(protocols::BgpMaybeProgram());
   ASSERT_TRUE(prog.ok()) << prog.status().ToString();
-  bool has_eh = false, derives_output = false;
+  const CompiledRule* br1 = nullptr;
   for (const CompiledRule& cr : (*prog)->rules) {
-    if (cr.rule.head.predicate == "eh_br1") has_eh = true;
-    if (cr.rule.head.predicate == "outputRoute") derives_output = true;
+    EXPECT_NE(cr.rule.head.predicate.rfind("eh_", 0), 0u);
+    if (cr.rule.name == "br1") br1 = &cr;
   }
-  EXPECT_TRUE(has_eh);
-  // Maybe rules never derive their head; outputRoute stays external.
-  EXPECT_FALSE(derives_output);
+  ASSERT_NE(br1, nullptr);
+  // A provenance-only rule: it records ruleExec/prov (Maybe = 1) when the
+  // observed head joins its body as the first atom, and never derives
+  // outputRoute, which stays external.
+  EXPECT_TRUE(br1->rule.is_maybe);
+  EXPECT_TRUE(br1->records_provenance);
+  ASSERT_FALSE(br1->atom_positions.empty());
+  EXPECT_EQ(std::get<ndlog::Atom>(br1->rule.body[br1->atom_positions[0]])
+                .predicate,
+            br1->rule.head.predicate);
+  EXPECT_EQ(br1->rule.head.predicate, "outputRoute");
 }
 
 TEST(PlanTest, ReservedPredicatesRejected) {
@@ -252,9 +282,13 @@ TEST(PlanTest, DumpShowsRewrittenProgram) {
   Result<CompiledProgramPtr> prog = Compile(protocols::MincostProgram());
   ASSERT_TRUE(prog.ok());
   std::string dump = (*prog)->Dump();
-  EXPECT_NE(dump.find("prov("), std::string::npos);
-  EXPECT_NE(dump.find("ruleExec("), std::string::npos);
+  // Both views are declared; the base-tuple self-edge rules derive prov.
+  EXPECT_NE(dump.find("materialize(prov"), std::string::npos);
+  EXPECT_NE(dump.find("materialize(ruleExec"), std::string::npos);
+  EXPECT_NE(dump.find("prov(@"), std::string::npos);
   EXPECT_NE(dump.find("f_mkvid"), std::string::npos);
+  // Rule executions are recorded by the engine, not by generated rules.
+  EXPECT_EQ(dump.find("f_mkrid"), std::string::npos);
 }
 
 TEST(PlanTest, DumpedProgramsAreValidNdlog) {

@@ -39,7 +39,7 @@ TEST_F(LogStoreTest, CaptureNowRecordsTables) {
   EXPECT_EQ(snap.links.size(), 2u);
 }
 
-TEST_F(LogStoreTest, OptionsFilterProvenanceAndEh) {
+TEST_F(LogStoreTest, OptionsFilterProvenance) {
   LogStore::Options opts;
   opts.include_provenance = false;
   LogStore store(&sim_, protocols::EnginePtrs(engines_), opts);
@@ -48,9 +48,8 @@ TEST_F(LogStoreTest, OptionsFilterProvenanceAndEh) {
   const NodeSnapshot* n0 = snap.FindNode(0);
   ASSERT_NE(n0, nullptr);
   EXPECT_FALSE(n0->tables.count("prov"));
-  for (const auto& [name, tuples] : n0->tables) {
-    EXPECT_NE(name.rfind("eh_", 0), 0u) << name;
-  }
+  EXPECT_FALSE(n0->tables.count("ruleExec"));
+  EXPECT_TRUE(n0->tables.count("mincost"));
 }
 
 TEST_F(LogStoreTest, PeriodicCapturesProduceTimeline) {
