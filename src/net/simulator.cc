@@ -175,7 +175,7 @@ bool Simulator::SendFrame(FrameRef f) {
       delay = ls->latency;
     }
     // Message-fault resolution. This branch only ever runs on the
-    // coordinator's serial path (direct sends, singleton waves, or the
+    // coordinator's serial path (direct sends, inline waves, or the
     // barrier replay — WorkerSendFrame logs an op instead of coming here),
     // so fault_seq_ advances in canonical serial order and every decision
     // is a pure function of (seed, seq, channel): bit-identical at any
@@ -485,10 +485,11 @@ void Simulator::RunLoop(Time until, bool bounded) {
       }
       now_ = t;
       events_executed_ += wave_.size();
-      if (wave_.size() == 1) {
-        // Singleton wave: the barrier would cost more than it buys. The
-        // wave decomposition is deterministic, so this choice is too.
-        Execute(wave_[0]);
+      if (wave_.size() < kMinParallelWave) {
+        // Narrow wave: the barrier would cost more than it buys. Run it
+        // through the serial path; it is popped already, so a Stop() from
+        // one of its handlers still takes effect at the wave boundary.
+        for (const Event& ev : wave_) Execute(ev);
       } else {
         ExecuteWave();
       }
@@ -550,61 +551,64 @@ bool Simulator::WorkerSendFrame(WorkerCtx* ctx, FrameRef f) {
 }
 
 void Simulator::EnsureWorkers() {
-  if (!threads_.empty()) return;
-  workers_.clear();
+  if (!workers_.empty()) return;
   workers_.reserve(num_threads_);
   for (unsigned i = 0; i < num_threads_; ++i) {
     auto ctx = std::make_unique<WorkerCtx>();
     ctx->id = i;
     workers_.push_back(std::move(ctx));
   }
-  threads_.reserve(num_threads_);
-  for (unsigned i = 0; i < num_threads_; ++i) {
-    threads_.emplace_back([this, i] { WorkerMain(workers_[i].get()); });
+  // Shard 0 belongs to the coordinator, so the pool is one thread short.
+  threads_.reserve(num_threads_ - 1);
+  for (unsigned i = 1; i < num_threads_; ++i) {
+    WorkerCtx* ctx = workers_[i].get();
+    threads_.emplace_back([this, ctx] { WorkerMain(ctx); });
   }
 }
 
 void Simulator::StopWorkers() {
-  if (threads_.empty()) return;
+  if (workers_.empty()) return;
   {
     std::lock_guard<std::mutex> lock(pool_mu_);
     shutdown_ = true;
   }
-  work_cv_.notify_all();
+  for (auto& w : workers_) w->wake_cv.notify_one();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
   workers_.clear();
   shutdown_ = false;
-  epoch_gen_ = 0;
 }
 
 void Simulator::WorkerMain(WorkerCtx* ctx) {
   tls_ctx_ = ctx;  // reroutes this thread's simulator calls for its lifetime
-  uint64_t seen = 0;
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(pool_mu_);
-      work_cv_.wait(lock, [&] { return shutdown_ || epoch_gen_ != seen; });
+      ctx->wake_cv.wait(lock, [&] { return shutdown_ || ctx->wake; });
       if (shutdown_) return;
-      seen = epoch_gen_;
+      ctx->wake = false;
     }
-    // Deliver this shard in seq order (Deliver() minus the frame release
-    // and delivery accounting, which the coordinator performs at the
-    // barrier in global seq order). node_down_ is frozen during a wave
-    // (node changes bound waves), so the down-destination skip is a pure
-    // read and matches the serial Deliver exactly.
-    for (const Event& ev : ctx->events) {
-      ctx->trigger_seq = ev.seq;
-      Message& msg = frames_[ev.frame];
-      if (NodeUp(msg.dst) && msg.dst < handlers_.size() &&
-          msg.channel < handlers_[msg.dst].size()) {
-        const MessageHandler& h = handlers_[msg.dst][msg.channel];
-        if (h) h(msg);
-      }
-    }
+    DeliverShard(ctx);
     {
       std::lock_guard<std::mutex> lock(pool_mu_);
       if (--busy_ == 0) done_cv_.notify_one();
+    }
+  }
+}
+
+void Simulator::DeliverShard(WorkerCtx* ctx) {
+  // Deliver this shard in seq order (Deliver() minus the frame release
+  // and delivery accounting, which the coordinator performs at the
+  // barrier in global seq order). node_down_ is frozen during a wave
+  // (node changes bound waves), so the down-destination skip is a pure
+  // read and matches the serial Deliver exactly.
+  for (const Event& ev : ctx->events) {
+    ctx->trigger_seq = ev.seq;
+    Message& msg = frames_[ev.frame];
+    if (NodeUp(msg.dst) && msg.dst < handlers_.size() &&
+        msg.channel < handlers_[msg.dst].size()) {
+      const MessageHandler& h = handlers_[msg.dst][msg.channel];
+      if (h) h(msg);
     }
   }
 }
@@ -614,6 +618,7 @@ void Simulator::ExecuteWave() {
   // Freeze the adjacency before handlers read it concurrently: the lazy
   // const rebuild in UpNeighbors would race if a worker triggered it.
   if (!adjacency_valid_) RebuildAdjacency();
+  ++parallel_waves_;
   const uint32_t n = static_cast<uint32_t>(workers_.size());
   for (auto& w : workers_) w->events.clear();
   for (const Event& ev : wave_) {
@@ -621,12 +626,25 @@ void Simulator::ExecuteWave() {
     // node keeps its worker (and warm arena) across waves.
     workers_[frames_[ev.frame].dst % n]->events.push_back(ev);
   }
+  // Wake only the pool workers with a non-empty shard. Workers never
+  // write their events vector, so the notify loop may read it unlocked.
   {
     std::lock_guard<std::mutex> lock(pool_mu_);
-    busy_ = n;
-    ++epoch_gen_;
+    busy_ = 0;
+    for (uint32_t i = 1; i < n; ++i) {
+      if (workers_[i]->events.empty()) continue;
+      workers_[i]->wake = true;
+      ++busy_;
+    }
   }
-  work_cv_.notify_all();
+  for (uint32_t i = 1; i < n; ++i) {
+    if (!workers_[i]->events.empty()) workers_[i]->wake_cv.notify_one();
+  }
+  // The coordinator works shard 0 meanwhile, with its sends and timers
+  // rerouted into worker 0's arena and op log like any worker's.
+  tls_ctx_ = workers_[0].get();
+  DeliverShard(workers_[0].get());
+  tls_ctx_ = nullptr;
   {
     std::unique_lock<std::mutex> lock(pool_mu_);
     done_cv_.wait(lock, [this] { return busy_ == 0; });
@@ -650,7 +668,8 @@ void Simulator::ReplayOps() {
   // so its op log is already trigger_seq-sorted; a k-way merge on
   // trigger_seq across workers yields the serial order, and with it the
   // exact seq_ assignment of every event pushed here.
-  std::vector<size_t> cursor(workers_.size(), 0);
+  std::vector<size_t>& cursor = replay_cursor_;
+  cursor.assign(workers_.size(), 0);
   for (;;) {
     size_t best = workers_.size();
     uint64_t best_seq = 0;
@@ -783,6 +802,7 @@ ChannelFaultStats Simulator::total_fault_stats() const {
 void Simulator::ResetEventStats() {
   events_executed_ = 0;
   schedule_in_past_ = 0;
+  parallel_waves_ = 0;
 }
 
 }  // namespace net

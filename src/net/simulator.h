@@ -13,14 +13,17 @@
 // slots; the std::function itself may still allocate its capture).
 //
 // With SimulatorOptions::num_threads > 1 the loop runs the deterministic
-// epoch-barrier protocol: each contiguous run of same-time delivery events
-// (a "wave") is partitioned by destination node across persistent worker
-// threads, handlers execute in parallel recording their side effects
-// (sends, timers, link changes) into per-worker op logs backed by
-// per-worker frame arenas, and at the barrier the coordinator replays the
-// logs in canonical event-seq order — reproducing the serial loop's event
-// sequencing bit-for-bit. See docs/ARCHITECTURE.md ("Deterministic
-// parallel execution") for the full protocol and its invariants.
+// epoch-barrier protocol on wide waves. A wave is a contiguous run of
+// same-time delivery events. One with fewer than kMinParallelWave
+// deliveries runs inline on the coordinator through the serial path; a
+// wider one is partitioned by destination node into num_threads shards.
+// The coordinator works shard 0 itself and wakes only the pool workers
+// whose shards are non-empty. Handlers record their side effects (sends,
+// timers, link changes) into per-worker op logs backed by per-worker frame
+// arenas, and at the barrier the coordinator replays the logs in canonical
+// event-seq order, reproducing the serial loop's event sequencing
+// bit-for-bit. See docs/ARCHITECTURE.md ("Deterministic parallel
+// execution") for the full protocol and its invariants.
 #ifndef NETTRAILS_NET_SIMULATOR_H_
 #define NETTRAILS_NET_SIMULATOR_H_
 
@@ -148,10 +151,12 @@ using NodeObserver = std::function<void(NodeId, bool)>;
 
 /// Execution options for the simulator event loop.
 struct SimulatorOptions {
-  /// Worker threads for the epoch-barrier parallel loop. 1 (the default)
-  /// runs the exact legacy serial loop; N > 1 shards every same-time
-  /// delivery wave across N workers while staying bit-identical to serial
-  /// execution (fixpoints, provenance, traffic, event ordering).
+  /// Worker threads for the epoch-barrier parallel loop, the calling
+  /// thread included. 1 (the default) runs the exact legacy serial loop;
+  /// N > 1 shards each same-time delivery wave of at least
+  /// Simulator::kMinParallelWave deliveries across N workers (narrower
+  /// waves run inline) while staying bit-identical to serial execution
+  /// (fixpoints, provenance, traffic, event ordering).
   unsigned num_threads = 1;
   /// Seeded fault schedule (drop/duplicate/delay/reorder + node events).
   /// Installed at construction when non-empty; see InstallFaultPlan.
@@ -167,6 +172,16 @@ class Simulator {
   /// slab; refs with kWorkerFrameBit set address a worker arena (only ever
   /// seen by code running inside a wave and by the barrier replay).
   using FrameRef = uint32_t;
+
+  /// Narrowest wave that goes through the barrier in threaded mode. A wave
+  /// of fewer deliveries runs inline on the coordinator through the serial
+  /// path, because waking workers and meeting at the barrier costs more
+  /// than such a wave's handlers. The choice depends on the wave's size
+  /// alone, so results are bit-identical at any thread count. 16 keeps the
+  /// provenance-query workload's one- and two-message waves off the
+  /// barrier while the link-churn workload's waves (median ~44
+  /// deliveries) stay parallel.
+  static constexpr size_t kMinParallelWave = 16;
 
   Simulator() = default;
   explicit Simulator(const SimulatorOptions& opts) {
@@ -348,13 +363,16 @@ class Simulator {
   /// the traffic of a query phase from setup traffic. Event-loop counters
   /// are a separate concern: see ResetEventStats().
   void ResetTrafficStats();
-  /// Zeroes the event-loop counters (events_executed, schedule_in_past) so
-  /// bench phases can isolate event counts the same way they isolate
-  /// traffic.
+  /// Zeroes the event-loop counters (events_executed, schedule_in_past,
+  /// parallel_waves) so bench phases can isolate event counts the same way
+  /// they isolate traffic.
   void ResetEventStats();
 
   /// Number of events executed so far (debug/bench metric).
   uint64_t events_executed() const { return events_executed_; }
+  /// Delivery waves that went through the worker barrier (always 0 at one
+  /// thread; narrow waves run inline and are not counted).
+  uint64_t parallel_waves() const { return parallel_waves_; }
 
  private:
   /// Tagged POD event record. Delivery events reference a pooled frame by
@@ -424,10 +442,12 @@ class Simulator {
   // A wave is the maximal contiguous run of kDeliver events at one virtual
   // time popped in seq order (bounded by the first non-delivery event or
   // time advance — closures and link changes always execute serially, at
-  // their exact seq position). Wave events are partitioned by destination
+  // their exact seq position). A wave narrower than kMinParallelWave runs
+  // inline through Execute. A wider one is partitioned by destination
   // node (dst % workers), so each node's engine is touched by exactly one
-  // worker per wave; handlers run in parallel with tls_ctx_ pointing at
-  // the worker's context, which reroutes AcquireFrame/SendFrame/
+  // worker per wave. The coordinator works shard 0 and the pool threads
+  // the rest; each handler runs with tls_ctx_ pointing at its shard's
+  // context, which reroutes AcquireFrame/SendFrame/
   // ScheduleAt/ScheduleLinkChange into a per-worker frame arena and op
   // log instead of the shared pool and event queue. During a wave the
   // shared structures (links_, adjacency_, handlers_, frames_ of the
@@ -467,6 +487,10 @@ class Simulator {
     std::vector<FrameRef> free_frames;
     std::vector<WorkerOp> ops;  // this wave's log, in issue order
     std::vector<Event> events;  // this wave's shard, in seq order
+    // Wake ticket for a pool worker, guarded by pool_mu_. Set only when
+    // the shard is non-empty, so idle workers sleep through the wave.
+    bool wake = false;
+    std::condition_variable wake_cv;
   };
 
   Message& WorkerFrameMessage(FrameRef f) {
@@ -476,6 +500,9 @@ class Simulator {
   void WorkerReleaseFrame(FrameRef f);
   bool WorkerSendFrame(WorkerCtx* ctx, FrameRef f);
   void ExecuteWave();
+  /// Runs the handlers of ctx's shard in seq order (the calling thread's
+  /// tls_ctx_ must be ctx).
+  void DeliverShard(WorkerCtx* ctx);
   void ReplayOps();
   void ApplyOp(WorkerOp op);
   void EnsureWorkers();
@@ -484,17 +511,19 @@ class Simulator {
 
   unsigned num_threads_ = 1;
   std::vector<Event> wave_;  // scratch: the delivery run being executed
+  std::vector<size_t> replay_cursor_;  // scratch: ReplayOps merge cursors
+  /// One context per shard; workers_[0] is worked by the coordinator.
   std::vector<std::unique_ptr<WorkerCtx>> workers_;
-  /// Worker context of the calling thread, nullptr on the coordinator.
-  /// Routes the simulator's mutating entry points while a wave runs.
+  /// Worker context of the calling thread: nullptr on the coordinator
+  /// except while it works shard 0. Routes the simulator's mutating entry
+  /// points while a wave runs.
   static thread_local WorkerCtx* tls_ctx_;
-  std::vector<std::thread> threads_;
+  std::vector<std::thread> threads_;  // pool thread i works workers_[i+1]
   std::mutex pool_mu_;
-  std::condition_variable work_cv_;  // workers wait for an epoch ticket
   std::condition_variable done_cv_;  // coordinator waits for the barrier
-  uint64_t epoch_gen_ = 0;           // bumped once per dispatched wave
-  unsigned busy_ = 0;                // workers still inside the wave
+  unsigned busy_ = 0;                // woken workers still inside the wave
   bool shutdown_ = false;
+  uint64_t parallel_waves_ = 0;
 
   Time now_ = 0;
   uint64_t seq_ = 0;

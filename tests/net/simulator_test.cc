@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace nettrails {
 namespace net {
 namespace {
@@ -448,6 +454,224 @@ TEST(SimulatorTest, LinkDownWithFramesInFlightStillDelivers) {
   EXPECT_EQ(d1, 1u);  // only the post-drop send was lost
   EXPECT_EQ(log1, log4);
   EXPECT_EQ(d1, d4);
+}
+
+// --- Wave dispatch boundaries ---------------------------------------------
+//
+// A source node sends one frame to each of `dsts` over equal-latency links,
+// so they arrive as one wave. Each destination's handler logs the delivery
+// in its node's log, forwards one frame to `sink` and schedules a closure.
+// The forwards arrive at the sink as a second wave in the seq order the
+// sends were given (the barrier replay order in threaded mode), and the
+// closures fire in the seq order they were scheduled in, so both logs pin
+// event seq order against the serial loop.
+class WaveWorld {
+ public:
+  WaveWorld(unsigned threads, const std::vector<NodeId>& dsts, NodeId sink)
+      : sim_(Options(threads)), dsts_(dsts), sink_(sink) {
+    NodeId top = sink;
+    for (NodeId d : dsts) top = std::max(top, d);
+    src_ = top + 1;
+    while (sim_.node_count() <= src_) sim_.AddNode();
+    logs_.resize(sim_.node_count());
+    threads_.resize(sim_.node_count());
+    // Interned up front: handlers on pool workers must not intern.
+    channel_ = sim_.InternChannel("tuple");
+    for (NodeId d : dsts) {
+      sim_.AddLink(src_, d, kMillisecond);
+      sim_.AddLink(d, sink, 2 * kMillisecond);
+    }
+    for (NodeId n = 0; n < sim_.node_count(); ++n) {
+      sim_.RegisterHandler(n, "tuple", [this, n](Message& m) { Handle(n, m); });
+    }
+  }
+
+  /// Sends the first wave, in reverse order of `dsts` so that seq order is
+  /// not node order.
+  void SendWave() {
+    for (size_t i = dsts_.size(); i-- > 0;) {
+      Message m = MakeMsg(&sim_, src_, dsts_[i]);
+      m.payload = Tuple("ping", {Value::Address(dsts_[i]),
+                                 Value::Int(static_cast<int64_t>(i))});
+      EXPECT_TRUE(sim_.Send(std::move(m)));
+    }
+  }
+
+  /// Makes the first handler to run call Stop().
+  void StopInFirstHandler() { stop_pending_ = true; }
+
+  Simulator& sim() { return sim_; }
+  const std::vector<std::vector<std::string>>& logs() const { return logs_; }
+  const std::vector<std::string>& closure_log() const { return closures_; }
+  /// Threads that ran handlers of these nodes.
+  std::set<std::thread::id> ThreadsOf(const std::vector<NodeId>& nodes) const {
+    std::set<std::thread::id> out;
+    for (NodeId n : nodes) out.insert(threads_[n].begin(), threads_[n].end());
+    return out;
+  }
+
+ private:
+  static SimulatorOptions Options(unsigned threads) {
+    SimulatorOptions opts;
+    opts.num_threads = threads;
+    return opts;
+  }
+
+  void Handle(NodeId n, Message& m) {
+    const int64_t v = m.payload.field(1).as_int();
+    logs_[n].push_back(std::to_string(sim_.now()) + ":" + std::to_string(v));
+    threads_[n].insert(std::this_thread::get_id());
+    if (n == sink_) return;
+    if (stop_pending_) {
+      // Only the first handler of a wave that runs on the coordinator
+      // reads this, so no other thread ever touches it.
+      stop_pending_ = false;
+      sim_.Stop();
+    }
+    Message fwd;
+    fwd.src = n;
+    fwd.dst = sink_;
+    fwd.channel = channel_;
+    fwd.payload = Tuple("ping", {Value::Address(sink_), Value::Int(v + 1000)});
+    sim_.Send(std::move(fwd));
+    sim_.ScheduleAfter(5 * kMillisecond, [this, n, v] {
+      closures_.push_back(std::to_string(sim_.now()) + ":n" +
+                          std::to_string(n) + ":" + std::to_string(v));
+    });
+  }
+
+  Simulator sim_;
+  std::vector<NodeId> dsts_;
+  NodeId sink_;
+  NodeId src_ = 0;
+  ChannelId channel_ = 0;
+  bool stop_pending_ = false;
+  // Indexed by node: a node's handlers run on one thread per wave.
+  std::vector<std::vector<std::string>> logs_;
+  std::vector<std::set<std::thread::id>> threads_;
+  std::vector<std::string> closures_;  // closures run on the coordinator
+};
+
+/// Runs the world to quiescence and checks it against threads = 1: per-node
+/// delivery logs, closure (seq) order, traffic and events_executed().
+/// Returns the threaded world's parallel_waves().
+uint64_t ExpectMatchesSerial(unsigned threads, const std::vector<NodeId>& dsts,
+                             NodeId sink, WaveWorld* world) {
+  WaveWorld serial(1, dsts, sink);
+  serial.SendWave();
+  serial.sim().Run();
+  EXPECT_EQ(serial.sim().parallel_waves(), 0u);
+  world->SendWave();
+  world->sim().Run();
+  EXPECT_EQ(world->logs(), serial.logs()) << "threads=" << threads;
+  EXPECT_EQ(world->closure_log(), serial.closure_log());
+  EXPECT_EQ(world->logs()[sink].size(), dsts.size());
+  EXPECT_EQ(world->closure_log().size(), dsts.size());
+  const TrafficStats t = world->sim().total_traffic();
+  const TrafficStats st = serial.sim().total_traffic();
+  EXPECT_EQ(t.messages, st.messages);
+  EXPECT_EQ(t.bytes, st.bytes);
+  EXPECT_EQ(t.tuples, st.tuples);
+  EXPECT_EQ(world->sim().events_executed(), serial.sim().events_executed());
+  EXPECT_EQ(world->sim().events_executed(), 3 * dsts.size());
+  return world->sim().parallel_waves();
+}
+
+std::vector<NodeId> NodeRange(NodeId first, size_t count, NodeId step = 1) {
+  std::vector<NodeId> out;
+  for (size_t i = 0; i < count; ++i) {
+    out.push_back(first + static_cast<NodeId>(i) * step);
+  }
+  return out;
+}
+
+TEST(SimulatorWaveTest, WaveJustUnderThresholdRunsInline) {
+  const std::vector<NodeId> dsts =
+      NodeRange(1, Simulator::kMinParallelWave - 1);
+  WaveWorld world(4, dsts, /*sink=*/0);
+  EXPECT_EQ(ExpectMatchesSerial(4, dsts, 0, &world), 0u);
+  // Every handler ran on the calling thread.
+  std::vector<NodeId> all = dsts;
+  all.push_back(0);
+  EXPECT_EQ(world.ThreadsOf(all),
+            std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(SimulatorWaveTest, WaveAtThresholdGoesThroughBarrier) {
+  const std::vector<NodeId> dsts = NodeRange(1, Simulator::kMinParallelWave);
+  WaveWorld world(4, dsts, /*sink=*/0);
+  // The first wave and the sink's wave of forwards are both 16 wide.
+  EXPECT_EQ(ExpectMatchesSerial(4, dsts, 0, &world), 2u);
+  // Every shard had work: four threads ran handlers, and the nodes of
+  // shard 0 ran on the coordinator.
+  EXPECT_EQ(world.ThreadsOf(dsts).size(), 4u);
+  EXPECT_EQ(world.ThreadsOf({4, 8, 12, 16}),
+            std::set<std::thread::id>{std::this_thread::get_id()});
+  world.sim().ResetEventStats();
+  EXPECT_EQ(world.sim().parallel_waves(), 0u);
+}
+
+TEST(SimulatorWaveTest, WaveAllInShardZeroRunsOnCoordinatorOnly) {
+  // Nodes 4, 8, ..., 64 and sink 0 are all in shard 0 of 4.
+  const std::vector<NodeId> dsts = NodeRange(4, 16, 4);
+  WaveWorld world(4, dsts, /*sink=*/0);
+  EXPECT_EQ(ExpectMatchesSerial(4, dsts, 0, &world), 2u);
+  std::vector<NodeId> all = dsts;
+  all.push_back(0);
+  EXPECT_EQ(world.ThreadsOf(all),
+            std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(SimulatorWaveTest, WaveAllInOnePoolShardRunsOnThatWorkerOnly) {
+  // Nodes 2, 6, ..., 62 and sink 66 are all in shard 2 of 4.
+  const std::vector<NodeId> dsts = NodeRange(2, 16, 4);
+  WaveWorld world(4, dsts, /*sink=*/66);
+  EXPECT_EQ(ExpectMatchesSerial(4, dsts, 66, &world), 2u);
+  std::vector<NodeId> all = dsts;
+  all.push_back(66);
+  const std::set<std::thread::id> ran = world.ThreadsOf(all);
+  ASSERT_EQ(ran.size(), 1u);
+  EXPECT_NE(*ran.begin(), std::this_thread::get_id());
+}
+
+TEST(SimulatorWaveTest, TwoThreadsLeaveOnePoolWorker) {
+  const std::vector<NodeId> dsts = NodeRange(1, Simulator::kMinParallelWave);
+  WaveWorld world(2, dsts, /*sink=*/0);
+  EXPECT_EQ(ExpectMatchesSerial(2, dsts, 0, &world), 2u);
+  EXPECT_EQ(world.ThreadsOf(dsts).size(), 2u);
+  EXPECT_EQ(world.ThreadsOf(NodeRange(2, 8, 2)),
+            std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(SimulatorWaveTest, StopInsideInlineWaveTakesEffectAtWaveBoundary) {
+  const std::vector<NodeId> dsts = NodeRange(1, 3);
+  WaveWorld serial(1, dsts, /*sink=*/0);
+  serial.StopInFirstHandler();
+  serial.SendWave();
+  serial.sim().Run();
+  // The serial loop stops right after the handler that called Stop().
+  EXPECT_EQ(serial.sim().events_executed(), 1u);
+
+  WaveWorld world(4, dsts, /*sink=*/0);
+  world.StopInFirstHandler();
+  world.SendWave();
+  world.sim().Run();
+  // Threaded: the whole inline wave ran, and nothing after it.
+  EXPECT_EQ(world.sim().events_executed(), dsts.size());
+  EXPECT_EQ(world.sim().parallel_waves(), 0u);
+  for (NodeId d : dsts) EXPECT_EQ(world.logs()[d].size(), 1u);
+  EXPECT_TRUE(world.logs()[0].empty());
+  EXPECT_TRUE(world.closure_log().empty());
+  EXPECT_EQ(world.sim().now(), kMillisecond);
+
+  // Resumed, both end where an uninterrupted serial run ends.
+  serial.sim().Run();
+  world.sim().Run();
+  EXPECT_EQ(world.logs(), serial.logs());
+  EXPECT_EQ(world.closure_log(), serial.closure_log());
+  EXPECT_EQ(world.sim().events_executed(), serial.sim().events_executed());
+  EXPECT_EQ(world.sim().total_traffic().bytes,
+            serial.sim().total_traffic().bytes);
 }
 
 }  // namespace

@@ -2,11 +2,15 @@
 // loop (SimulatorOptions::num_threads > 1) must be observably
 // indistinguishable from the serial loop — bit-identical per-node action
 // traces, table fixpoints, derivation counts, canonical provenance graphs,
-// traffic accounting, and event counts — at every thread count. Two
-// scenarios: the MINCOST line-convergence behind the golden-trace pin, and
-// the seeded link-churn worlds from the batch-equivalence suite (the
-// heaviest deterministic workload the repo has: overlapping retraction /
-// re-derivation cascades with distributed provenance on). CI runs this via
+// traffic accounting, and event counts — at every thread count. Three
+// scenarios: the MINCOST line-convergence behind the golden-trace pin, MINCOST
+// converging on an 8x8 grid (wide waves, so per-node traces are compared
+// across the worker barrier), and the seeded link-churn worlds from the
+// batch-equivalence suite (the heaviest deterministic workload the repo has:
+// overlapping retraction / re-derivation cascades with distributed
+// provenance on). Waves narrower than Simulator::kMinParallelWave run
+// inline, so the 3-node line never reaches the barrier; the grid and churn
+// worlds assert that it ran at threads > 1. CI runs this via
 // `ctest -R threaded`, including under TSan.
 //
 // Trace capture is per-node: within a wave, handlers on different nodes run
@@ -17,6 +21,7 @@
 // exactly. Cross-node state agreement is covered by the fingerprint.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -88,15 +93,16 @@ std::string Fingerprint(
   return out;
 }
 
-/// MINCOST converging on a 3-node line (the golden-trace scenario), with
-/// per-node action traces. Returns the traces concatenated in node order
-/// followed by the simulator counters.
-std::string LineConvergenceTrace(unsigned threads) {
+/// MINCOST converging on `topo`, with per-node action traces. Returns the
+/// traces concatenated in node order followed by the simulator counters,
+/// and stores the number of waves that went through the worker barrier in
+/// `*parallel_waves`.
+std::string ConvergenceTrace(const net::Topology& topo, unsigned threads,
+                             uint64_t* parallel_waves) {
   Result<CompiledProgramPtr> prog =
       Compile(protocols::MincostProgram(), NoProvenanceOptions());
   EXPECT_TRUE(prog.ok()) << prog.status().ToString();
   if (!prog.ok()) return "";
-  net::Topology topo = net::MakeLine(3, 1);
   net::SimulatorOptions sopts;
   sopts.num_threads = threads;
   net::Simulator sim(sopts);
@@ -118,9 +124,33 @@ std::string LineConvergenceTrace(unsigned threads) {
     });
   }
   EXPECT_TRUE(protocols::InstallLinks(topo, &engines, &sim).ok());
+  *parallel_waves = sim.parallel_waves();
   std::string out;
   for (const std::string& t : traces) out += t;
   out += "== sim\n" + SimCounters(sim);
+  return out;
+}
+
+/// The golden-trace scenario: a 3-node line, whose waves are all narrow.
+std::string LineConvergenceTrace(unsigned threads) {
+  uint64_t parallel_waves = 0;
+  std::string out =
+      ConvergenceTrace(net::MakeLine(3, 1), threads, &parallel_waves);
+  EXPECT_EQ(parallel_waves, 0u) << "threads=" << threads;
+  return out;
+}
+
+/// The wide-wave scenario: an 8x8 grid, whose convergence waves reach the
+/// barrier at every thread count above 1.
+std::string GridConvergenceTrace(unsigned threads) {
+  uint64_t parallel_waves = 0;
+  std::string out =
+      ConvergenceTrace(net::MakeGrid(8, 8), threads, &parallel_waves);
+  if (threads == 1) {
+    EXPECT_EQ(parallel_waves, 0u);
+  } else {
+    EXPECT_GT(parallel_waves, 0u) << "threads=" << threads;
+  }
   return out;
 }
 
@@ -129,7 +159,8 @@ std::string LineConvergenceTrace(unsigned threads) {
 /// 1-3 link flips with full reconvergence between rounds, provenance on.
 /// The Rng schedule is engine-state-independent, so every thread count
 /// replays identical churn.
-std::string ChurnFingerprint(uint64_t seed, unsigned threads) {
+std::string ChurnFingerprint(uint64_t seed, unsigned threads,
+                             uint64_t* parallel_waves) {
   Result<CompiledProgramPtr> prog = Compile(kBoundedMincost);
   EXPECT_TRUE(prog.ok()) << prog.status().ToString();
   if (!prog.ok()) return "";
@@ -176,6 +207,7 @@ std::string ChurnFingerprint(uint64_t seed, unsigned threads) {
     }
   }
   sim.Run();
+  *parallel_waves = sim.parallel_waves();
   return Fingerprint(sim, engines, stores);
 }
 
@@ -192,14 +224,30 @@ TEST_P(ThreadedDeterminism, LineConvergenceTraceMatchesSerial) {
       << "threads=" << GetParam() << " diverged from serial execution";
 }
 
+TEST_P(ThreadedDeterminism, GridConvergenceTraceMatchesSerial) {
+  static const std::string* serial =
+      new std::string(GridConvergenceTrace(1));
+  ASSERT_FALSE(serial->empty());
+  std::string actual = GridConvergenceTrace(GetParam());
+  EXPECT_EQ(actual, *serial)
+      << "threads=" << GetParam() << " diverged from serial execution";
+}
+
 TEST_P(ThreadedDeterminism, ChurnFixpointAndProvenanceMatchSerial) {
   for (uint64_t seed : {uint64_t{101}, uint64_t{202}, uint64_t{303}}) {
-    std::string reference = ChurnFingerprint(seed, 1);
+    uint64_t serial_waves = 0, parallel_waves = 0;
+    std::string reference = ChurnFingerprint(seed, 1, &serial_waves);
     ASSERT_FALSE(reference.empty());
-    std::string actual = ChurnFingerprint(seed, GetParam());
+    EXPECT_EQ(serial_waves, 0u);
+    std::string actual = ChurnFingerprint(seed, GetParam(), &parallel_waves);
     EXPECT_EQ(actual, reference)
         << "threads=" << GetParam() << " seed=" << seed
         << " diverged from serial execution";
+    if (GetParam() > 1) {
+      EXPECT_GT(parallel_waves, 0u)
+          << "threads=" << GetParam() << " seed=" << seed
+          << " never reached the worker barrier";
+    }
   }
 }
 
